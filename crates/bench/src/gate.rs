@@ -236,7 +236,7 @@ pub fn run_bench_full(cfg: &XpConfig) -> BenchOutcome {
 
 /// The in-process serving-layer row: `serve/session/t=2`.
 fn serve_row(cfg: &XpConfig) -> BenchRow {
-    serve_session_row(cfg, "serve/session/t=2", None)
+    single_session_row(cfg, "serve/session/t=2", None)
 }
 
 /// The observed twin: `serve/observed/t=2` — the identical session with
@@ -244,7 +244,7 @@ fn serve_row(cfg: &XpConfig) -> BenchRow {
 /// windows enabled. [`run_bench_full`] asserts its work metrics and
 /// penalty bit-identical to [`serve_row`]'s.
 fn observed_row(cfg: &XpConfig) -> BenchRow {
-    serve_session_row(
+    single_session_row(
         cfg,
         "serve/observed/t=2",
         Some(wnsk_serve::ObservabilityConfig {
@@ -304,42 +304,109 @@ fn session_lines(
     lines
 }
 
-fn serve_session_row(
+/// The session rows' server threads and query depth.
+const SESSION_THREADS: usize = 2;
+const SESSION_K: usize = 10;
+
+fn single_session_row(
     cfg: &XpConfig,
     id: &str,
     observability: Option<wnsk_serve::ObservabilityConfig>,
 ) -> BenchRow {
-    use wnsk_serve::{Client, Server, ServerConfig};
+    session_row(
+        cfg,
+        id,
+        |dataset, vocabulary| {
+            let engine = wnsk_core::WhyNotEngine::build_in_memory(dataset)
+                .expect("bench dataset builds")
+                .with_vocabulary(vocabulary);
+            wnsk_serve::Server::start(
+                engine,
+                wnsk_serve::ServerConfig {
+                    threads: SESSION_THREADS,
+                    observability,
+                    ..wnsk_serve::ServerConfig::default()
+                },
+            )
+        },
+        |_| Vec::new(),
+    )
+}
 
-    const K: usize = 10;
-    let g = wnsk_data::generate(&DatasetSpec::euro_like(cfg.scale));
-    let engine = wnsk_core::WhyNotEngine::build_in_memory(g.dataset)
-        .expect("bench dataset builds")
-        .with_vocabulary(g.vocabulary);
-    let handle = Server::start(
-        engine,
-        ServerConfig {
-            threads: 2,
-            observability,
-            ..ServerConfig::default()
+/// The scatter-gather row: `serve/sharded/s=2/t=2` — the serve-session
+/// script against a 2-shard coordinator on 2 executor threads. The
+/// session is sequential, so every counter is deterministic and equals
+/// the single-engine session's: accepted requests and cache traffic
+/// (top-k answers and why-not rank hints cache across passes, exactly
+/// as in single mode), plus scatter fan-outs and the solver's
+/// penalty-bound tightenings — pinned *nonzero* here, so CI fails
+/// outright if the forest traversal ever stops sharing improvements.
+/// Penalties are gated exactly: the answers must stay bit-identical to
+/// a single engine's no matter what this row's code paths do.
+fn sharded_row(cfg: &XpConfig) -> BenchRow {
+    use wnsk_shard::{Coordinator, CoordinatorConfig, ShardManifest};
+
+    const SHARDS: usize = 2;
+    session_row(
+        cfg,
+        &format!("serve/sharded/s={SHARDS}/t={SESSION_THREADS}"),
+        |dataset, vocabulary| {
+            let manifest = ShardManifest::plan(&dataset, SHARDS, 42);
+            let coordinator = Coordinator::new(
+                dataset,
+                manifest,
+                CoordinatorConfig {
+                    threads: SESSION_THREADS,
+                    ..CoordinatorConfig::default()
+                },
+            )
+            .expect("bench partition covers the dataset")
+            .with_vocabulary(vocabulary);
+            wnsk_serve::Server::start_sharded(
+                coordinator,
+                wnsk_serve::ServerConfig {
+                    threads: SESSION_THREADS,
+                    ..wnsk_serve::ServerConfig::default()
+                },
+            )
+        },
+        |snap| {
+            let tightenings = snap.counter(wnsk_obs::names::SHARD_BOUND_TIGHTENINGS);
+            assert!(
+                tightenings > 0,
+                "the sharded why-not penalty bound never tightened — the \
+                 forest traversal is not sharing improvements"
+            );
+            vec![
+                (
+                    "scatter",
+                    snap.counter(wnsk_obs::names::SHARD_SCATTER) as f64,
+                ),
+                ("bound_tightenings", tightenings as f64),
+            ]
         },
     )
-    .expect("bench server binds a loopback port");
+}
 
-    // Deterministic request lines drawn from real objects; every third
-    // step also asks the matching why-not question for an object picked
-    // by brute-force ranking to sit strictly below the top-K.
-    let engine_guard = handle.serve_engine().engine();
-    let lines = session_lines(
-        engine_guard.dataset(),
-        engine_guard
-            .vocabulary()
-            .expect("bench engine has a vocabulary"),
-        cfg.queries.max(1),
-        K,
-    );
-    drop(engine_guard);
-    let mut conn = Client::connect(handle.addr()).expect("bench client connects");
+/// The one session loop behind every serve row: the pinned session
+/// lines (drawn from the generated dataset before `start` takes it),
+/// asked twice in order over one connection. Sequential submission
+/// makes the service counters exactly deterministic; `extra_work` adds
+/// backend-specific counters from the final registry snapshot.
+fn session_row(
+    cfg: &XpConfig,
+    id: &str,
+    start: impl FnOnce(
+        wnsk_index::Dataset,
+        wnsk_text::Vocabulary,
+    ) -> std::io::Result<wnsk_serve::ServerHandle>,
+    extra_work: impl FnOnce(&Snapshot) -> Vec<(&'static str, f64)>,
+) -> BenchRow {
+    let g = wnsk_data::generate(&DatasetSpec::euro_like(cfg.scale));
+    let lines = session_lines(&g.dataset, &g.vocabulary, cfg.queries.max(1), SESSION_K);
+    let handle = start(g.dataset, g.vocabulary).expect("bench server binds a loopback port");
+
+    let mut conn = wnsk_serve::Client::connect(handle.addr()).expect("bench client connects");
     let mut penalties = Vec::new();
     let mut requests = 0u32;
     let started = std::time::Instant::now();
@@ -365,137 +432,29 @@ fn serve_session_row(
     let time_ms = started.elapsed().as_secs_f64() * 1e3 / f64::from(requests.max(1));
 
     let snap = handle.registry().snapshot();
-    let row = BenchRow {
+    let mut work = vec![
+        (
+            "accepted",
+            snap.counter(wnsk_obs::names::SERVE_ACCEPTED) as f64,
+        ),
+        (
+            "cache_hits",
+            snap.counter(wnsk_obs::names::SERVE_CACHE_HITS) as f64,
+        ),
+        (
+            "cache_misses",
+            snap.counter(wnsk_obs::names::SERVE_CACHE_MISSES) as f64,
+        ),
+    ];
+    work.extend(extra_work(&snap));
+    handle.shutdown();
+    BenchRow {
         id: id.into(),
-        threads: 2,
+        threads: SESSION_THREADS,
         time_ms,
         penalty: penalties.iter().sum::<f64>() / penalties.len().max(1) as f64,
-        work: vec![
-            (
-                "accepted",
-                snap.counter(wnsk_obs::names::SERVE_ACCEPTED) as f64,
-            ),
-            (
-                "cache_hits",
-                snap.counter(wnsk_obs::names::SERVE_CACHE_HITS) as f64,
-            ),
-            (
-                "cache_misses",
-                snap.counter(wnsk_obs::names::SERVE_CACHE_MISSES) as f64,
-            ),
-        ],
-    };
-    handle.shutdown();
-    row
-}
-
-/// The scatter-gather row: `serve/sharded/s=2/t=2` — the serve-session
-/// script against a 2-shard coordinator on 2 executor threads. The
-/// session is sequential, so every counter is deterministic: accepted
-/// requests, cache traffic (top-k answers cache across passes; the
-/// sharded why-not path always recomputes), scatter fan-outs, and the
-/// cross-shard penalty-bound tightenings — pinned *nonzero* here, so
-/// CI fails outright if the shared bound ever stops pruning across
-/// shards. Penalties are gated exactly: the merged answers must stay
-/// bit-identical to a single engine's no matter what this row's code
-/// paths do.
-fn sharded_row(cfg: &XpConfig) -> BenchRow {
-    use wnsk_serve::{Client, Server, ServerConfig};
-    use wnsk_shard::{Coordinator, CoordinatorConfig, ShardManifest};
-
-    const K: usize = 10;
-    const SHARDS: usize = 2;
-    let g = wnsk_data::generate(&DatasetSpec::euro_like(cfg.scale));
-    let manifest = ShardManifest::plan(&g.dataset, SHARDS, 42);
-    let coordinator = Coordinator::new(
-        g.dataset,
-        manifest,
-        CoordinatorConfig {
-            threads: 2,
-            ..CoordinatorConfig::default()
-        },
-    )
-    .expect("bench partition covers the dataset")
-    .with_vocabulary(g.vocabulary);
-    let handle = Server::start_sharded(
-        coordinator,
-        ServerConfig {
-            threads: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bench server binds a loopback port");
-
-    let coord = handle.serve_engine().coordinator();
-    let lines = session_lines(
-        coord.dataset(),
-        coord
-            .vocabulary()
-            .expect("bench coordinator has a vocabulary"),
-        cfg.queries.max(1),
-        K,
-    );
-    drop(coord);
-
-    let mut conn = Client::connect(handle.addr()).expect("bench client connects");
-    let mut penalties = Vec::new();
-    let mut requests = 0u32;
-    let started = std::time::Instant::now();
-    for _pass in 0..2 {
-        for line in &lines {
-            let doc = conn.call_json(line).expect("bench request answered");
-            assert_eq!(
-                doc.get("ok"),
-                Some(&JsonValue::Bool(true)),
-                "bench sharded session must answer every request: {doc:?}"
-            );
-            requests += 1;
-            if doc.get("type").and_then(JsonValue::as_str) == Some("whynot") {
-                let p = doc
-                    .get("refined")
-                    .and_then(|r| r.get("penalty"))
-                    .and_then(JsonValue::as_f64)
-                    .expect("whynot answers carry a penalty");
-                penalties.push(p);
-            }
-        }
+        work,
     }
-    let time_ms = started.elapsed().as_secs_f64() * 1e3 / f64::from(requests.max(1));
-
-    let snap = handle.registry().snapshot();
-    let tightenings = snap.counter(wnsk_obs::names::SHARD_BOUND_TIGHTENINGS);
-    assert!(
-        tightenings > 0,
-        "the cross-shard penalty bound never tightened — the why-not \
-         scatter is not sharing improvements between shards"
-    );
-    let row = BenchRow {
-        id: format!("serve/sharded/s={SHARDS}/t=2"),
-        threads: 2,
-        time_ms,
-        penalty: penalties.iter().sum::<f64>() / penalties.len().max(1) as f64,
-        work: vec![
-            (
-                "accepted",
-                snap.counter(wnsk_obs::names::SERVE_ACCEPTED) as f64,
-            ),
-            (
-                "cache_hits",
-                snap.counter(wnsk_obs::names::SERVE_CACHE_HITS) as f64,
-            ),
-            (
-                "cache_misses",
-                snap.counter(wnsk_obs::names::SERVE_CACHE_MISSES) as f64,
-            ),
-            (
-                "scatter",
-                snap.counter(wnsk_obs::names::SHARD_SCATTER) as f64,
-            ),
-            ("bound_tightenings", tightenings as f64),
-        ],
-    };
-    handle.shutdown();
-    row
 }
 
 /// The durable-churn row: `ingest/churn/t=2`.

@@ -178,5 +178,5 @@ pub fn answer_approx_kcr(
 ) -> Result<WhyNotAnswer> {
     question.validate(dataset)?;
     let sample = draw_sample(dataset, question, brute_initial_rank(dataset, question), t)?;
-    kcr::run(dataset, tree, question, opts, Some(sample))
+    kcr::run(dataset, &[tree], question, opts, Some(sample))
 }

@@ -211,7 +211,7 @@ fn run_inner(
     question.validate(dataset)?;
     let start = Instant::now();
     let io_before = tree.pool().stats();
-    let guard = BudgetGuard::new(opts.budget, Arc::clone(tree.pool()));
+    let guard = BudgetGuard::new(opts.budget, vec![Arc::clone(tree.pool())]);
 
     // The work-stealing pool: one per query, reused across the initial
     // rank and every layer so the per-worker counters aggregate over

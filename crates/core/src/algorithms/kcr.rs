@@ -20,6 +20,14 @@
 //! frontier sums only tighten; keeping explicit frontier sums makes the
 //! implementation correct regardless.)
 //!
+//! The frontier may start at several roots: a *forest* of KcR-trees that
+//! index disjoint slices of one dataset under shared world bounds (the
+//! shards of a partition) behaves as one tree whose virtual super-root
+//! has those roots as children. Scores are corpus-free given the world
+//! bounds and the brackets are sums over a partition of the objects, so
+//! every bracket, prune and offer is the one a single tree over the
+//! union would produce — only node visits and page reads move.
+//!
 //! Algorithm 4 drives the batches in ascending edit distance and stops as
 //! soon as the next layer's keyword penalty alone can no longer beat
 //! `p_c`. Each batch's traversal is an independent subtree-expansion
@@ -114,26 +122,47 @@ pub fn answer_kcr(
     question: &WhyNotQuestion,
     opts: KcrOptions,
 ) -> Result<WhyNotAnswer> {
-    run(dataset, tree, question, opts, None)
+    run(dataset, &[tree], question, opts, None)
+}
+
+/// **KcRBased** over a forest: `forest` holds KcR-trees over disjoint
+/// slices of `dataset` that share its world bounds (e.g. one per shard),
+/// and the answer is the one [`answer_kcr`] gives over a single tree of
+/// the whole dataset. Tree-local object ids never reach the solver: it
+/// reads only scores and node summaries from the trees, and takes the
+/// missing objects, corpus statistics and fallback from `dataset`.
+pub fn answer_kcr_forest(
+    dataset: &Dataset,
+    forest: &[&KcrTree],
+    question: &WhyNotQuestion,
+    opts: KcrOptions,
+) -> Result<WhyNotAnswer> {
+    run(dataset, forest, question, opts, None)
 }
 
 pub(crate) fn run(
     dataset: &Dataset,
-    tree: &KcrTree,
+    forest: &[&KcrTree],
     question: &WhyNotQuestion,
     opts: KcrOptions,
     sample: Option<Vec<Candidate>>,
 ) -> Result<WhyNotAnswer> {
+    assert!(!forest.is_empty(), "KcRBased needs at least one tree");
+    debug_assert!(
+        forest.iter().all(|t| t.world() == forest[0].world()),
+        "forest trees must share world bounds"
+    );
     // The tracer lives on the tree (next to the traversal counters it
-    // must stay in lockstep with); the query span wraps the whole run
-    // so every path — including budget degradation and I/O errors —
-    // leaves the scope clean.
-    let tracer = tree.traversal().tracer().clone();
+    // must stay in lockstep with; a forest's trees share one when
+    // traced); the query span wraps the whole run so every path —
+    // including budget degradation and I/O errors — leaves the scope
+    // clean.
+    let tracer = forest[0].traversal().tracer().clone();
     let query_span = tracer.begin("kcr.query");
     tracer.set_scope(query_span.id());
     let result = run_inner(
         dataset,
-        tree,
+        forest,
         question,
         opts,
         sample,
@@ -145,10 +174,15 @@ pub(crate) fn run(
     result
 }
 
+/// Physical page reads so far, summed over every pool of the forest.
+fn physical_reads(forest: &[&KcrTree]) -> u64 {
+    forest.iter().map(|t| t.pool().stats().physical_reads).sum()
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_inner(
     dataset: &Dataset,
-    tree: &KcrTree,
+    forest: &[&KcrTree],
     question: &WhyNotQuestion,
     opts: KcrOptions,
     sample: Option<Vec<Candidate>>,
@@ -157,8 +191,11 @@ fn run_inner(
 ) -> Result<WhyNotAnswer> {
     question.validate(dataset)?;
     let start = Instant::now();
-    let io_before = tree.pool().stats();
-    let guard = BudgetGuard::new(opts.budget, Arc::clone(tree.pool()));
+    let io_before = physical_reads(forest);
+    let guard = BudgetGuard::new(
+        opts.budget,
+        forest.iter().map(|t| Arc::clone(t.pool())).collect(),
+    );
 
     // Work-stealing pool, one per query: reused for the initial rank and
     // every verification layer.
@@ -178,23 +215,9 @@ fn run_inner(
         .collect();
     let rank_span = tracer.begin("phase.initial_rank");
     tracer.set_scope(rank_span.id());
-    let outcome = if let Some(rank) = opts.initial_rank_hint {
-        SetRankOutcome::Exact { rank }
-    } else if exec.threads() > 1 {
-        count::parallel_rank(
-            tree,
-            &exec,
-            &metrics,
-            &question.query,
-            &initial_targets,
-            &guard,
-        )?
-    } else {
-        let mut scan = KcrTopKSearch::new(tree, question.query.clone());
-        let outcome =
-            crate::rank::rank_of_set(&mut scan, &initial_targets, None, false, Some(&guard))?;
-        drop(scan);
-        outcome
+    let outcome = match opts.initial_rank_hint {
+        Some(rank) => SetRankOutcome::Exact { rank },
+        None => forest_rank(forest, &exec, &metrics, question, &initial_targets, &guard)?,
     };
     tracer.set_scope(query);
     tracer.end(rank_span);
@@ -205,7 +228,7 @@ fn run_inner(
             let reason = guard.breached().expect("scan only stops early on breach");
             let stats = AlgoStats {
                 wall: start.elapsed(),
-                io: tree.pool().stats().since(&io_before).physical_reads,
+                io: physical_reads(forest) - io_before,
                 phase_initial_rank,
                 ..AlgoStats::default()
             };
@@ -330,10 +353,11 @@ fn run_inner(
                 |_worker| LocalBest::new(),
                 |local, task, tctx| match task {
                     KcrTask::Batch(seq0, batch) => {
-                        launch_batch(tree, &ctx, seq0, batch, best.bound(), local, &stats, tctx)
+                        launch_batch(forest, &ctx, seq0, batch, best.bound(), local, &stats, tctx)
                     }
-                    KcrTask::Node(scan, node, contrib) => expand_batch_node(
-                        tree,
+                    KcrTask::Node(scan, t, node, contrib) => expand_batch_node(
+                        forest,
+                        t,
                         &ctx,
                         &scan,
                         node,
@@ -356,7 +380,7 @@ fn run_inner(
                     // batch whose whole layer is already beaten is pruned by
                     // the root bounds almost immediately.
                     bound_and_prune(
-                        tree,
+                        forest,
                         &ctx,
                         &batch,
                         seq0,
@@ -384,7 +408,7 @@ fn run_inner(
     let totals = metrics.totals();
     let stats = AlgoStats {
         wall: start.elapsed(),
-        io: tree.pool().stats().since(&io_before).physical_reads,
+        io: physical_reads(forest) - io_before,
         candidates_total: stats.candidates_total.into_inner(),
         pruned_by_bound: stats.pruned_by_bound.into_inner(),
         nodes_expanded: stats.nodes_expanded.into_inner(),
@@ -421,6 +445,39 @@ fn run_inner(
     })
 }
 
+/// Algorithm 4 line 1 over a forest: `R(M, q)` is one plus the strict
+/// dominators of the worst-scoring missing object, and dominator counts
+/// add up over disjoint trees — so each tree runs the single-tree rank
+/// scan (a parallel dominator count with several workers, bit-identical
+/// to the best-first scan — see [`crate::algorithms::count`]) and the
+/// counts are summed. Both scans compare scores only, never ids, so
+/// tree-local ids are harmless. A breach in any tree ends the phase.
+fn forest_rank(
+    forest: &[&KcrTree],
+    exec: &Executor,
+    metrics: &ExecMetrics,
+    question: &WhyNotQuestion,
+    targets: &[(ObjectId, f64)],
+    guard: &BudgetGuard,
+) -> Result<SetRankOutcome> {
+    let mut dominators = 0;
+    for &tree in forest {
+        let outcome = if exec.threads() > 1 {
+            count::parallel_rank(tree, exec, metrics, &question.query, targets, guard)?
+        } else {
+            let mut scan = KcrTopKSearch::new(tree, question.query.clone());
+            crate::rank::rank_of_set(&mut scan, targets, None, false, Some(guard))?
+        };
+        match outcome {
+            SetRankOutcome::Exact { rank } => dominators += rank - 1,
+            stopped => return Ok(stopped),
+        }
+    }
+    Ok(SetRankOutcome::Exact {
+        rank: dominators + 1,
+    })
+}
+
 /// Per-candidate traversal state.
 struct CandState {
     doc: KeywordSet,
@@ -449,6 +506,8 @@ fn prepare_node(summary: &NodeSummary, ctx: &WhyNotContext<'_>) -> PreparedNode 
 }
 
 struct QueuedNode {
+    /// Index of the node's tree in the forest.
+    tree: usize,
     node: BlobRef,
     /// Per-candidate `(MaxDom, MinDom)` contribution of this node to the
     /// frontier sums.
@@ -462,7 +521,7 @@ struct QueuedNode {
 /// is contiguous in enumeration order).
 #[allow(clippy::too_many_arguments)]
 fn bound_and_prune(
-    tree: &KcrTree,
+    forest: &[&KcrTree],
     ctx: &WhyNotContext<'_>,
     candidates: &[Candidate],
     seq0: u64,
@@ -476,7 +535,7 @@ fn bound_and_prune(
         return Ok(());
     }
     let alpha = ctx.query.alpha;
-    let world = tree.world();
+    let world = forest[0].world();
 
     let mut cands: Vec<CandState> = candidates
         .iter()
@@ -507,24 +566,48 @@ fn bound_and_prune(
         })
         .collect();
 
-    // Lines 2–6: initial bounds from the root summary.
-    let root_summary = tree.root_summary().map_err(crate::WhyNotError::Storage)?;
-    let root_contrib = node_contrib(&root_summary, ctx, &mut cands, world);
-    for (cand, &(hi, lo)) in cands.iter_mut().zip(&root_contrib) {
-        cand.rank_hi += hi as i64;
-        cand.rank_lo += lo as i64;
+    // Lines 2–6: initial bounds from the root summaries, summed as the
+    // children of the forest's virtual super-root.
+    let mut root_contribs = Vec::with_capacity(forest.len());
+    for tree in forest {
+        let root_summary = tree.root_summary().map_err(crate::WhyNotError::Storage)?;
+        let contrib = node_contrib(&root_summary, ctx, &mut cands, world);
+        for (cand, &(hi, lo)) in cands.iter_mut().zip(&contrib) {
+            cand.rank_hi += hi as i64;
+            cand.rank_lo += lo as i64;
+        }
+        root_contribs.push(contrib);
     }
-    let traversal = tree.traversal();
-    refresh_candidates(ctx, &mut cands, bound, local, stats, traversal, handle);
+    refresh_candidates(
+        ctx,
+        &mut cands,
+        bound,
+        local,
+        stats,
+        forest[0].traversal(),
+        handle,
+    );
     if !cands.iter().any(|c| c.active) {
         return Ok(());
     }
 
+    // A single tree's root is always loose here (an active candidate's
+    // bracket is open, and the root alone makes it up).
     let mut queue: VecDeque<QueuedNode> = VecDeque::new();
-    queue.push_back(QueuedNode {
-        node: tree.root(),
-        contrib: root_contrib,
-    });
+    for (t, contrib) in root_contribs.into_iter().enumerate() {
+        let root = forest[t].root();
+        if is_loose(cands.iter().map(|c| c.active), &contrib) {
+            queue.push_back(QueuedNode {
+                tree: t,
+                node: root,
+                contrib,
+            });
+        } else {
+            forest[t]
+                .traversal()
+                .nodes_pruned_traced(root.first_page.0, 0);
+        }
+    }
 
     // Lines 8–32: traverse, tightening the frontier sums.
     while let Some(qn) = queue.pop_front() {
@@ -534,9 +617,13 @@ fn bound_and_prune(
         if guard.check().is_some() {
             return Ok(());
         }
+        let tree = forest[qn.tree];
+        let traversal = tree.traversal();
         if !cands.iter().any(|c| c.active) {
             // Every candidate retired: nothing enqueued will be visited.
-            traversal.nodes_pruned.add(queue.len() as u64 + 1);
+            for q in std::iter::once(&qn).chain(&queue) {
+                forest[q.tree].traversal().nodes_pruned.add(1);
+            }
             return Ok(());
         }
         let node = tree
@@ -562,11 +649,7 @@ fn bound_and_prune(
                     }
                     // Line 29–32: only children whose bounds are still
                     // loose for some active candidate can tighten anything.
-                    let loose = cands
-                        .iter()
-                        .zip(&contrib)
-                        .any(|(c, &(hi, lo))| c.active && hi != lo);
-                    if loose {
+                    if is_loose(cands.iter().map(|c| c.active), &contrib) {
                         child_nodes.push((e.child, contrib));
                     } else {
                         // The dominance bounds agree for every active
@@ -613,10 +696,23 @@ fn bound_and_prune(
         refresh_candidates(ctx, &mut cands, bound, local, stats, traversal, handle);
 
         for (node, contrib) in child_nodes {
-            queue.push_back(QueuedNode { node, contrib });
+            queue.push_back(QueuedNode {
+                tree: qn.tree,
+                node,
+                contrib,
+            });
         }
     }
     Ok(())
+}
+
+/// Whether a node's per-candidate `(MaxDom, MinDom)` contribution is
+/// still open for some active candidate — only such a node can tighten
+/// a frontier sum by being expanded.
+fn is_loose(active: impl Iterator<Item = bool>, contrib: &[(u32, u32)]) -> bool {
+    active
+        .zip(contrib)
+        .any(|(active, &(hi, lo))| active && hi != lo)
 }
 
 /// `(MaxDom, MinDom)` of one prepared node summary for one candidate,
@@ -810,11 +906,12 @@ struct BatchScan {
 }
 
 /// A task of the dynamic KcR layer execution: a whole candidate batch
-/// (roots its traversal) or one frontier node of an in-flight batch,
-/// carrying that node's per-candidate `(MaxDom, MinDom)` contribution.
+/// (roots its traversal) or one frontier node of an in-flight batch —
+/// its tree's index in the forest, the node, and its per-candidate
+/// `(MaxDom, MinDom)` contribution.
 enum KcrTask {
     Batch(u64, Vec<Candidate>),
-    Node(Arc<BatchScan>, BlobRef, Vec<(u32, u32)>),
+    Node(Arc<BatchScan>, usize, BlobRef, Vec<(u32, u32)>),
 }
 
 fn pack_bounds(hi: u32, lo: u32) -> u64 {
@@ -880,11 +977,12 @@ fn refresh_one(
 }
 
 /// Dynamic-mode batch seed: builds the shared candidate states, applies
-/// the root-summary bounds (Algorithm 3 lines 2–6) and hands the root
-/// node to the pool as the traversal's first frontier task.
+/// the root-summary bounds (Algorithm 3 lines 2–6; a forest's roots are
+/// summed as one virtual super-root) and hands the loose roots to the
+/// pool as the traversal's first frontier tasks.
 #[allow(clippy::too_many_arguments)]
 fn launch_batch(
-    tree: &KcrTree,
+    forest: &[&KcrTree],
     ctx: &WhyNotContext<'_>,
     seq0: u64,
     batch: Vec<Candidate>,
@@ -897,7 +995,7 @@ fn launch_batch(
         return Ok(());
     }
     let alpha = ctx.query.alpha;
-    let world = tree.world();
+    let world = forest[0].world();
     let cands: Vec<ParCand> = batch
         .iter()
         .enumerate()
@@ -927,23 +1025,34 @@ fn launch_batch(
         .collect();
     let scan = Arc::new(BatchScan { cands });
 
-    let root_summary = tree.root_summary().map_err(crate::WhyNotError::Storage)?;
-    let prep = prepare_node(&root_summary, ctx);
-    let min_dist = world.normalized_min_dist(&ctx.query.loc, &root_summary.mbr);
-    let max_dist = world.normalized_max_dist(&ctx.query.loc, &root_summary.mbr);
-    let traversal = tree.traversal();
-    let mut root_contrib = Vec::with_capacity(scan.cands.len());
-    for cand in &scan.cands {
-        let (hi, lo) = entry_dom_bounds(
-            &prep,
-            min_dist,
-            max_dist,
-            ctx,
-            &cand.doc,
-            cand.bits.as_ref(),
-            &cand.m_tsims,
+    let mut root_contribs: Vec<Vec<(u32, u32)>> = Vec::with_capacity(forest.len());
+    for tree in forest {
+        let root_summary = tree.root_summary().map_err(crate::WhyNotError::Storage)?;
+        let prep = prepare_node(&root_summary, ctx);
+        let min_dist = world.normalized_min_dist(&ctx.query.loc, &root_summary.mbr);
+        let max_dist = world.normalized_max_dist(&ctx.query.loc, &root_summary.mbr);
+        root_contribs.push(
+            scan.cands
+                .iter()
+                .map(|cand| {
+                    entry_dom_bounds(
+                        &prep,
+                        min_dist,
+                        max_dist,
+                        ctx,
+                        &cand.doc,
+                        cand.bits.as_ref(),
+                        &cand.m_tsims,
+                    )
+                })
+                .collect(),
         );
-        let delta = pack_delta(hi as i64, lo as i64);
+    }
+    for (i, cand) in scan.cands.iter().enumerate() {
+        let (hi, lo) = root_contribs.iter().fold((0i64, 0i64), |(hi, lo), c| {
+            (hi + c[i].0 as i64, lo + c[i].1 as i64)
+        });
+        let delta = pack_delta(hi, lo);
         let new = cand
             .bounds
             .fetch_add(delta, Ordering::AcqRel)
@@ -956,17 +1065,27 @@ fn launch_batch(
             bound,
             local,
             stats,
-            traversal,
+            forest[0].traversal(),
             &tctx.handle,
         );
-        root_contrib.push((hi, lo));
     }
-    // An active candidate always has a loose bracket (refresh retires
-    // `hi == lo`), so any survivor justifies expanding the root.
-    if scan.cands.iter().any(|c| c.active.load(Ordering::Acquire)) {
-        tctx.spawn(KcrTask::Node(scan, tree.root(), root_contrib));
-    } else {
-        traversal.nodes_pruned_traced(tree.root().first_page.0, 0);
+    // An active candidate always has an open bracket (refresh retires
+    // `hi == lo`), so a single tree's root is loose whenever any
+    // candidate survives.
+    let actives: Vec<bool> = scan
+        .cands
+        .iter()
+        .map(|c| c.active.load(Ordering::Acquire))
+        .collect();
+    for (t, contrib) in root_contribs.into_iter().enumerate() {
+        let root = forest[t].root();
+        if is_loose(actives.iter().copied(), &contrib) {
+            tctx.spawn(KcrTask::Node(Arc::clone(&scan), t, root, contrib));
+        } else {
+            forest[t]
+                .traversal()
+                .nodes_pruned_traced(root.first_page.0, 0);
+        }
     }
     Ok(())
 }
@@ -978,7 +1097,8 @@ fn launch_batch(
 /// and forks the still-loose children as new pool tasks.
 #[allow(clippy::too_many_arguments)]
 fn expand_batch_node(
-    tree: &KcrTree,
+    forest: &[&KcrTree],
+    t: usize,
     ctx: &WhyNotContext<'_>,
     scan: &Arc<BatchScan>,
     node_ref: BlobRef,
@@ -988,6 +1108,7 @@ fn expand_batch_node(
     stats: &SharedStats,
     tctx: &TaskContext<'_, KcrTask>,
 ) -> Result<()> {
+    let tree = forest[t];
     let traversal = tree.traversal();
     // Snapshot: a candidate retired after this never receives another
     // delta from this task's subtree (its bracket is already final or
@@ -1044,11 +1165,7 @@ fn expand_batch_node(
                     sums[i].0 += hi as i64;
                     sums[i].1 += lo as i64;
                 }
-                let loose = actives
-                    .iter()
-                    .zip(&child_contrib)
-                    .any(|(&a, &(hi, lo))| a && hi != lo);
-                if loose {
+                if is_loose(actives.iter().copied(), &child_contrib) {
                     child_nodes.push((e.child, child_contrib));
                 } else {
                     traversal.nodes_pruned_traced(e.child.first_page.0, 0);
@@ -1104,7 +1221,7 @@ fn expand_batch_node(
         );
     }
     for (child, child_contrib) in child_nodes {
-        tctx.spawn(KcrTask::Node(Arc::clone(scan), child, child_contrib));
+        tctx.spawn(KcrTask::Node(Arc::clone(scan), t, child, child_contrib));
     }
     Ok(())
 }

@@ -139,25 +139,27 @@ const BREACH_DEADLINE: u8 = 1;
 const BREACH_PAGE_READS: u8 = 2;
 
 /// Shared checkpoint state for one query: the budget, the query's start
-/// time, the buffer pool whose physical reads are charged against
-/// `max_page_reads`, and a sticky breach flag so every worker thread
-/// stops at the first breach any of them observes.
+/// time, the buffer pools whose physical reads are charged (summed)
+/// against `max_page_reads`, and a sticky breach flag so every worker
+/// thread stops at the first breach any of them observes.
 pub struct BudgetGuard {
     budget: QueryBudget,
     start: Instant,
-    pool: Arc<BufferPool>,
+    pools: Vec<Arc<BufferPool>>,
     reads_before: u64,
     breach: AtomicU8,
 }
 
 impl BudgetGuard {
-    /// Starts the clock and snapshots the pool's read counter.
-    pub fn new(budget: QueryBudget, pool: Arc<BufferPool>) -> Self {
-        let reads_before = pool.stats().physical_reads;
+    /// Starts the clock and snapshots the pools' read counters. A solver
+    /// over several indexes (a forest of shard trees) passes every pool
+    /// it reads through.
+    pub fn new(budget: QueryBudget, pools: Vec<Arc<BufferPool>>) -> Self {
+        let reads_before = physical_reads(&pools);
         BudgetGuard {
             budget,
             start: Instant::now(),
-            pool,
+            pools,
             reads_before,
             breach: AtomicU8::new(BREACH_NONE),
         }
@@ -185,11 +187,7 @@ impl BudgetGuard {
             }
         }
         if let Some(max) = self.budget.max_page_reads {
-            let reads = self
-                .pool
-                .stats()
-                .physical_reads
-                .saturating_sub(self.reads_before);
+            let reads = physical_reads(&self.pools).saturating_sub(self.reads_before);
             if reads >= max {
                 self.breach.store(BREACH_PAGE_READS, Ordering::Release);
                 return Some(DegradeReason::PageReadLimit);
@@ -214,6 +212,10 @@ impl BudgetGuard {
     }
 }
 
+fn physical_reads(pools: &[Arc<BufferPool>]) -> u64 {
+    pools.iter().map(|p| p.stats().physical_reads).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,7 +227,7 @@ mod tests {
 
     #[test]
     fn unlimited_budget_never_breaches() {
-        let guard = BudgetGuard::new(QueryBudget::unlimited(), pool());
+        let guard = BudgetGuard::new(QueryBudget::unlimited(), vec![pool()]);
         assert_eq!(guard.check(), None);
         assert_eq!(guard.breached(), None);
     }
@@ -233,7 +235,7 @@ mod tests {
     #[test]
     fn zero_deadline_breaches_immediately_and_latches() {
         let budget = QueryBudget::unlimited().with_deadline(Duration::ZERO);
-        let guard = BudgetGuard::new(budget, pool());
+        let guard = BudgetGuard::new(budget, vec![pool()]);
         assert_eq!(guard.check(), Some(DegradeReason::DeadlineExceeded));
         assert_eq!(guard.breached(), Some(DegradeReason::DeadlineExceeded));
         assert_eq!(guard.check(), Some(DegradeReason::DeadlineExceeded));
@@ -249,7 +251,7 @@ mod tests {
         p.read(id).unwrap();
 
         let budget = QueryBudget::unlimited().with_max_page_reads(2);
-        let guard = BudgetGuard::new(budget, Arc::clone(&p));
+        let guard = BudgetGuard::new(budget, vec![Arc::clone(&p)]);
         assert_eq!(guard.check(), None);
         p.clear_cache();
         p.read(id).unwrap();

@@ -7,7 +7,7 @@ use crate::error::{Result, WhyNotError};
 use crate::ingest::Mutation;
 use crate::question::{AlgoStats, WhyNotAnswer, WhyNotQuestion};
 use std::sync::Arc;
-use wnsk_index::{Dataset, KcrTree, ObjectId, SetRTree, SpatialKeywordQuery, TopKSearch};
+use wnsk_index::{Dataset, KcrTree, ObjectId, SetRTree, SpatialKeywordQuery};
 use wnsk_obs::{names, QueryReport, Registry, Snapshot};
 use wnsk_storage::{BufferPool, BufferPoolConfig, MemBackend, RecoveryReport, StorageError, Wal};
 use wnsk_text::Vocabulary;
@@ -37,26 +37,6 @@ pub struct WhyNotEngine {
 
 /// The paper's node capacity (§VII-A1).
 pub const DEFAULT_FANOUT: usize = 100;
-
-/// Outcome of [`WhyNotEngine::count_dominators`]: the number of live
-/// objects scoring strictly above a threshold, either exact or abandoned
-/// early once a caller-supplied limit proves the total can only grow
-/// past it.
-///
-/// This is the shard-local building block of the scatter-gather rank
-/// reconstruction: dominator counts are additive across a disjoint
-/// partition of the dataset (every object lives in exactly one shard and
-/// scores are computed against the shared world bounds), so a
-/// coordinator sums per-shard `Exact` counts to recover the global rank
-/// `R(M, q)` the single-engine scan would produce.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DominatorCount {
-    /// Exactly this many objects score strictly above the threshold.
-    Exact(usize),
-    /// The scan stopped early: at least this many dominators exist, and
-    /// `count + 1` already exceeds the caller's limit.
-    AtLeast(usize),
-}
 
 impl WhyNotEngine {
     /// Builds both indexes over `dataset` on in-memory page stores.
@@ -347,37 +327,6 @@ impl WhyNotEngine {
     /// Runs a plain spatial keyword top-k query.
     pub fn top_k(&self, query: &SpatialKeywordQuery) -> Result<Vec<(ObjectId, f64)>> {
         Ok(self.setr.top_k(query)?)
-    }
-
-    /// Counts the live objects whose score under `query` is *strictly*
-    /// above `min_score`, streaming the SetR-tree best-first so the scan
-    /// touches only the score range above the threshold.
-    ///
-    /// With `limit = Some(l)` the scan aborts as soon as `count + 1 > l`
-    /// and reports [`DominatorCount::AtLeast`] — the same tie-permissive
-    /// abort the single-engine rank scan uses, so a coordinator pruning a
-    /// candidate against `l` makes exactly the decision the one-shard
-    /// solver would.
-    pub fn count_dominators(
-        &self,
-        query: &SpatialKeywordQuery,
-        min_score: f64,
-        limit: Option<usize>,
-    ) -> Result<DominatorCount> {
-        let mut search = TopKSearch::new(&self.setr, query.clone());
-        let mut count = 0usize;
-        loop {
-            if let Some(l) = limit {
-                if count + 1 > l {
-                    return Ok(DominatorCount::AtLeast(count));
-                }
-            }
-            match search.next_object()? {
-                Some((_, score)) if score > min_score => count += 1,
-                _ => break,
-            }
-        }
-        Ok(DominatorCount::Exact(count))
     }
 
     /// Answers a why-not question with the recommended solver

@@ -22,6 +22,8 @@
 //!   bound-and-prune over the KcR-tree — one traversal scores a whole
 //!   batch of candidate sets via `MaxDom`/`MinDom`, driven in
 //!   edit-distance layers (Algorithms 3 & 4).
+//!   [`algorithms::answer_kcr_forest`] runs the same traversal over
+//!   several trees of disjoint objects (the shards of a partition).
 //!
 //! All three support multiple missing objects (§VI-A) and a
 //! sampling-based approximate mode (§VI-B). The [`WhyNotEngine`] facade
@@ -40,7 +42,7 @@ mod question;
 mod rank;
 
 pub use budget::{AnswerQuality, BudgetGuard, DegradeReason, QueryBudget};
-pub use engine::{DominatorCount, WhyNotEngine, DEFAULT_FANOUT};
+pub use engine::{WhyNotEngine, DEFAULT_FANOUT};
 pub use enumeration::{Candidate, CandidateEnumerator};
 pub use error::{Result, WhyNotError};
 pub use ingest::Mutation;
@@ -52,5 +54,5 @@ pub use rank::{rank_of_set, SetRankOutcome};
 
 pub use algorithms::{
     answer_advanced, answer_approx_advanced, answer_approx_basic, answer_approx_kcr, answer_basic,
-    answer_basic_with_budget, answer_kcr, AdvancedOptions, KcrOptions,
+    answer_basic_with_budget, answer_kcr, answer_kcr_forest, AdvancedOptions, KcrOptions,
 };

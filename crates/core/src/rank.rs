@@ -201,7 +201,10 @@ mod tests {
         let pool = Arc::new(wnsk_storage::BufferPool::with_default_config(Arc::new(
             wnsk_storage::MemBackend::new(),
         )));
-        let guard = BudgetGuard::new(QueryBudget::unlimited().with_deadline(Duration::ZERO), pool);
+        let guard = BudgetGuard::new(
+            QueryBudget::unlimited().with_deadline(Duration::ZERO),
+            vec![pool],
+        );
         let mut s = VecStream::new(vec![(1, 0.9), (2, 0.8)]);
         let out = rank_of_set(&mut s, &[(ObjectId(2), 0.8)], None, false, Some(&guard)).unwrap();
         assert_eq!(

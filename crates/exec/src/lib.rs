@@ -43,10 +43,6 @@ use wnsk_obs::{names, Hist, RollingWindow, TracePayload, Tracer};
 /// bits is exactly min on the penalty.
 pub struct SharedBound {
     bits: AtomicU64,
-    /// Number of calls that actually lowered the bound. The sharded
-    /// coordinator exposes this as `shard.bound_tightenings` — proof the
-    /// cross-shard bound is live, not a vestigial constant.
-    tightenings: AtomicU64,
 }
 
 impl SharedBound {
@@ -55,7 +51,6 @@ impl SharedBound {
         debug_assert!(initial >= 0.0, "penalties are non-negative");
         SharedBound {
             bits: AtomicU64::new(initial.to_bits()),
-            tightenings: AtomicU64::new(0),
         }
     }
 
@@ -70,17 +65,7 @@ impl SharedBound {
     #[inline]
     pub fn refresh(&self, penalty: f64) -> bool {
         debug_assert!(penalty >= 0.0, "penalties are non-negative");
-        let improved = self.bits.fetch_min(penalty.to_bits(), Ordering::AcqRel) > penalty.to_bits();
-        if improved {
-            self.tightenings.fetch_add(1, Ordering::Relaxed);
-        }
-        improved
-    }
-
-    /// How many [`SharedBound::refresh`] calls lowered the bound so far.
-    #[inline]
-    pub fn tightened(&self) -> u64 {
-        self.tightenings.load(Ordering::Relaxed)
+        self.bits.fetch_min(penalty.to_bits(), Ordering::AcqRel) > penalty.to_bits()
     }
 }
 
@@ -526,7 +511,6 @@ mod tests {
         assert!(b.refresh(0.0));
         assert!(!b.refresh(0.1));
         assert_eq!(b.value(), 0.0);
-        assert_eq!(b.tightened(), 2, "only genuine improvements count");
     }
 
     #[test]

@@ -49,14 +49,73 @@ pub enum ResolvedRequest {
 }
 
 /// What answers requests: one engine, or a scatter-gather coordinator
-/// over many. Sharded mode answers queries bit-identically to single
-/// mode (the shard determinism suite pins that); the differences are
-/// operational — routed mutations, per-shard WALs and admission, no
-/// rank-hint reuse (the coordinator's exact solver has no budget
-/// ladder, so a hint could only change wall time, never bits).
+/// over many. Both run the same solver and answer bit-identically (the
+/// shard determinism suite pins that), so every query path reads either
+/// through one [`ReadView`]; only ingest (routed, with per-shard
+/// shedding), `/healthz` (per-shard rows) and the typed accessors tell
+/// the two apart.
 enum Backend {
     Single(RwLock<WhyNotEngine>),
     Sharded(RwLock<Coordinator>),
+}
+
+/// The backend-neutral read side every query path executes against.
+trait ReadView {
+    /// The live dataset (the coordinator's mirror in sharded mode).
+    fn dataset(&self) -> &Dataset;
+    fn vocabulary(&self) -> Option<&Vocabulary>;
+    /// The dataset epoch cache entries are stamped with.
+    fn epoch(&self) -> u64;
+    fn top_k(&self, query: &SpatialKeywordQuery) -> Result<Vec<(ObjectId, f64)>, String>;
+    fn answer_kcr(
+        &self,
+        question: &WhyNotQuestion,
+        opts: KcrOptions,
+    ) -> wnsk_core::Result<WhyNotAnswer>;
+}
+
+impl ReadView for WhyNotEngine {
+    fn dataset(&self) -> &Dataset {
+        WhyNotEngine::dataset(self)
+    }
+    fn vocabulary(&self) -> Option<&Vocabulary> {
+        WhyNotEngine::vocabulary(self)
+    }
+    fn epoch(&self) -> u64 {
+        WhyNotEngine::epoch(self)
+    }
+    fn top_k(&self, query: &SpatialKeywordQuery) -> Result<Vec<(ObjectId, f64)>, String> {
+        WhyNotEngine::top_k(self, query).map_err(|e| e.to_string())
+    }
+    fn answer_kcr(
+        &self,
+        question: &WhyNotQuestion,
+        opts: KcrOptions,
+    ) -> wnsk_core::Result<WhyNotAnswer> {
+        WhyNotEngine::answer_kcr(self, question, opts)
+    }
+}
+
+impl ReadView for Coordinator {
+    fn dataset(&self) -> &Dataset {
+        Coordinator::dataset(self)
+    }
+    fn vocabulary(&self) -> Option<&Vocabulary> {
+        Coordinator::vocabulary(self)
+    }
+    fn epoch(&self) -> u64 {
+        Coordinator::epoch(self)
+    }
+    fn top_k(&self, query: &SpatialKeywordQuery) -> Result<Vec<(ObjectId, f64)>, String> {
+        Coordinator::top_k(self, query).map_err(|e| e.to_string())
+    }
+    fn answer_kcr(
+        &self,
+        question: &WhyNotQuestion,
+        opts: KcrOptions,
+    ) -> wnsk_core::Result<WhyNotAnswer> {
+        Coordinator::answer_kcr(self, question, opts)
+    }
 }
 
 /// The serving layer's engine: warm indexes + answer cache + metrics.
@@ -131,14 +190,18 @@ impl ServeEngine {
     pub fn with_observability(mut self, config: ObservabilityConfig) -> Self {
         let obs = Observability::new(config, &self.registry);
         // Attach the (initially disabled) tracer so the slow-query log
-        // can sample an explain tree when a request wins the trace slot.
-        // The coordinator's scattered solver has no tracer hook — the
-        // rest of the plane (recorder, windows, slow log) still applies.
-        if let Backend::Single(engine) = &mut self.backend {
-            engine
+        // can sample an explain tree when a request wins the trace slot;
+        // in sharded mode every shard copy records into it, so a sharded
+        // request files one tree.
+        match &mut self.backend {
+            Backend::Single(engine) => engine
                 .get_mut()
                 .expect("engine lock poisoned")
-                .set_tracer(obs.tracer.clone());
+                .set_tracer(obs.tracer.clone()),
+            Backend::Sharded(coord) => coord
+                .get_mut()
+                .expect("coordinator lock poisoned")
+                .set_tracer(obs.tracer.clone()),
         }
         self.obs = Some(obs);
         self
@@ -191,6 +254,16 @@ impl ServeEngine {
         matches!(self.backend, Backend::Sharded(_))
     }
 
+    /// Runs `f` against the backend's read view under its read lock. A
+    /// query reads the epoch under the same lock it executes under, so
+    /// an answer and its epoch stamp are never torn.
+    fn read<R>(&self, f: impl FnOnce(&dyn ReadView) -> R) -> R {
+        match &self.backend {
+            Backend::Single(engine) => f(&*engine.read().unwrap()),
+            Backend::Sharded(coord) => f(&*coord.read().unwrap()),
+        }
+    }
+
     /// The shared metrics registry.
     pub fn registry(&self) -> &Registry {
         &self.registry
@@ -232,16 +305,7 @@ impl ServeEngine {
     /// against the live dataset, and canonicalizes the location so
     /// cache keys and execution agree.
     pub fn resolve(&self, wire: &WireRequest) -> Result<ResolvedRequest, String> {
-        match &self.backend {
-            Backend::Single(engine) => {
-                let engine = engine.read().unwrap();
-                resolve_against(engine.dataset(), engine.vocabulary(), wire)
-            }
-            Backend::Sharded(coord) => {
-                let coord = coord.read().unwrap();
-                resolve_against(coord.dataset(), coord.vocabulary(), wire)
-            }
-        }
+        self.read(|view| resolve_against(view.dataset(), view.vocabulary(), wire))
     }
 
     /// Executes a resolved request and renders the response line.
@@ -347,47 +411,26 @@ impl ServeEngine {
     }
 
     fn execute_topk(&self, query: &SpatialKeywordQuery) -> String {
-        // The epoch is read under the same lock the query runs under, so
-        // the cached list is exactly the answer a fresh computation at
+        // The cached list is exactly the answer a fresh computation at
         // this epoch would produce. Sharded answers carry the
         // coordinator's global epoch, so a routed mutation to any shard
         // invalidates exactly like a single-engine mutation would.
-        match &self.backend {
-            Backend::Single(engine) => {
-                let engine = engine.read().unwrap();
-                let epoch = engine.epoch();
-                if let Some(list) = self.cache.get_topk(query, epoch) {
-                    self.cache_hits.inc();
-                    return render_topk_list(&list, true);
-                }
-                match engine.top_k(query) {
-                    Ok(results) => {
-                        self.cache_misses.inc();
-                        let list: RankList = Arc::new(results);
-                        self.cache.put_topk(query, Arc::clone(&list), epoch);
-                        render_topk_list(&list, false)
-                    }
-                    Err(e) => protocol::render_error(&e.to_string()),
-                }
+        self.read(|view| {
+            let epoch = view.epoch();
+            if let Some(list) = self.cache.get_topk(query, epoch) {
+                self.cache_hits.inc();
+                return render_topk_list(&list, true);
             }
-            Backend::Sharded(coord) => {
-                let coord = coord.read().unwrap();
-                let epoch = coord.epoch();
-                if let Some(list) = self.cache.get_topk(query, epoch) {
-                    self.cache_hits.inc();
-                    return render_topk_list(&list, true);
+            match view.top_k(query) {
+                Ok(results) => {
+                    self.cache_misses.inc();
+                    let list: RankList = Arc::new(results);
+                    self.cache.put_topk(query, Arc::clone(&list), epoch);
+                    render_topk_list(&list, false)
                 }
-                match coord.top_k(query) {
-                    Ok(results) => {
-                        self.cache_misses.inc();
-                        let list: RankList = Arc::new(results);
-                        self.cache.put_topk(query, Arc::clone(&list), epoch);
-                        render_topk_list(&list, false)
-                    }
-                    Err(e) => protocol::render_error(&e.to_string()),
-                }
+                Err(e) => protocol::render_error(&e),
             }
-        }
+        })
     }
 
     fn execute_whynot(
@@ -396,89 +439,47 @@ impl ServeEngine {
         max_page_reads: Option<u64>,
         remaining: Option<Duration>,
     ) -> String {
-        let engine = match &self.backend {
-            Backend::Single(engine) => engine,
-            Backend::Sharded(coord) => {
-                // Every sharded why-not is a fresh exact computation.
-                self.cache_misses.inc();
-                return self.execute_whynot_sharded(&coord.read().unwrap(), question);
+        self.read(|view| {
+            if let Some(error) = deleted_missing(view, question) {
+                return error;
             }
-        };
-        let engine = engine.read().unwrap();
-        let epoch = engine.epoch();
-        // A delete can race past `resolve`'s liveness check while the
-        // request is queued; the solver would chase an object that no
-        // longer exists, so re-check under the execution lock.
-        for m in &question.missing {
-            if !engine.dataset().is_live(*m) {
-                return protocol::render_error(&format!("object id {} has been deleted", m.0));
-            }
-        }
-        let hint = self
-            .cache
-            .get_initial_rank(&question.query, &question.missing, epoch);
-        let mut budget = QueryBudget::unlimited();
-        if let Some(d) = remaining {
-            budget = budget.with_deadline(d);
-        }
-        if let Some(max) = max_page_reads {
-            budget = budget.with_max_page_reads(max);
-        }
-        let opts = KcrOptions {
-            budget,
-            initial_rank_hint: hint,
-            ..KcrOptions::default()
-        };
-        match engine.answer_kcr(question, opts) {
-            Ok(answer) => {
-                if hint.is_some() {
-                    self.cache_hits.inc();
-                } else {
-                    self.cache_misses.inc();
-                    let rank = answer.stats.initial_rank as usize;
-                    if rank > question.query.k {
-                        self.cache.put_initial_rank(
-                            &question.query,
-                            &question.missing,
-                            rank,
-                            epoch,
-                        );
+            let epoch = view.epoch();
+            let hint = self
+                .cache
+                .get_initial_rank(&question.query, &question.missing, epoch);
+            let opts = KcrOptions {
+                budget: request_budget(max_page_reads, remaining),
+                initial_rank_hint: hint,
+                ..KcrOptions::default()
+            };
+            match view.answer_kcr(question, opts) {
+                Ok(answer) => {
+                    if hint.is_some() {
+                        self.cache_hits.inc();
+                    } else {
+                        self.cache_misses.inc();
+                        let rank = answer.stats.initial_rank as usize;
+                        if rank > question.query.k {
+                            self.cache.put_initial_rank(
+                                &question.query,
+                                &question.missing,
+                                rank,
+                                epoch,
+                            );
+                        }
                     }
+                    answer.stats.record_into(&self.registry);
+                    if let Some(obs) = &self.obs {
+                        // Per-task solver latencies feed the task window
+                        // by folding the answer's snapshot — observation
+                        // only, after the answer is fully computed.
+                        obs.win_task.merge_snapshot(&answer.stats.task_latency);
+                    }
+                    render_whynot_answer(view.vocabulary(), &answer, hint.is_some())
                 }
-                answer.stats.record_into(&self.registry);
-                if let Some(obs) = &self.obs {
-                    // Per-task solver latencies feed the task window by
-                    // folding the answer's snapshot — observation only,
-                    // after the answer is fully computed.
-                    obs.win_task.merge_snapshot(&answer.stats.task_latency);
-                }
-                render_whynot_answer(engine.vocabulary(), &answer, hint.is_some())
+                Err(e) => protocol::render_error(&e.to_string()),
             }
-            Err(e) => protocol::render_error(&e.to_string()),
-        }
-    }
-
-    /// Sharded why-not: the coordinator's scatter-gather solver is
-    /// always exact (no budget ladder, no approximation rungs), so the
-    /// deadline and the cached rank hint are deliberately ignored —
-    /// either could only change wall time, and the hint would skip the
-    /// scattered initial-rank phase whose count the answer reports.
-    fn execute_whynot_sharded(&self, coord: &Coordinator, question: &WhyNotQuestion) -> String {
-        for m in &question.missing {
-            if !coord.dataset().is_live(*m) {
-                return protocol::render_error(&format!("object id {} has been deleted", m.0));
-            }
-        }
-        match coord.whynot(question) {
-            Ok(answer) => {
-                answer.stats.record_into(&self.registry);
-                if let Some(obs) = &self.obs {
-                    obs.win_task.merge_snapshot(&answer.stats.task_latency);
-                }
-                render_whynot_answer(coord.vocabulary(), &answer, false)
-            }
-            Err(e) => protocol::render_error(&e.to_string()),
-        }
+        })
     }
 
     /// Executes a query request with the answer cache bypassed entirely —
@@ -488,61 +489,29 @@ impl ServeEngine {
     /// `rank_reused` markers the two renderings must be bit-identical.
     /// Mutations and stats have no uncached variant (`None`).
     pub fn execute_uncached(&self, request: &ResolvedRequest) -> Option<String> {
-        match request {
-            ResolvedRequest::TopK(query) => {
-                let results = match &self.backend {
-                    Backend::Single(engine) => engine
-                        .read()
-                        .unwrap()
-                        .top_k(query)
-                        .map_err(|e| e.to_string()),
-                    Backend::Sharded(coord) => coord
-                        .read()
-                        .unwrap()
-                        .top_k(query)
-                        .map_err(|e| e.to_string()),
-                };
-                Some(match results {
-                    Ok(results) => render_topk_list(&results, false),
-                    Err(e) => protocol::render_error(&e),
-                })
-            }
+        self.read(|view| match request {
+            ResolvedRequest::TopK(query) => Some(match view.top_k(query) {
+                Ok(results) => render_topk_list(&results, false),
+                Err(e) => protocol::render_error(&e),
+            }),
             ResolvedRequest::WhyNot {
                 question,
                 max_page_reads,
             } => {
-                let engine = match &self.backend {
-                    Backend::Single(engine) => engine,
-                    Backend::Sharded(coord) => {
-                        // The sharded path never consults the cache, so
-                        // its uncached baseline is the path itself.
-                        return Some(self.execute_whynot_sharded(&coord.read().unwrap(), question));
-                    }
-                };
-                let engine = engine.read().unwrap();
-                for m in &question.missing {
-                    if !engine.dataset().is_live(*m) {
-                        return Some(protocol::render_error(&format!(
-                            "object id {} has been deleted",
-                            m.0
-                        )));
-                    }
-                }
-                let mut budget = QueryBudget::unlimited();
-                if let Some(max) = max_page_reads {
-                    budget = budget.with_max_page_reads(*max);
+                if let Some(error) = deleted_missing(view, question) {
+                    return Some(error);
                 }
                 let opts = KcrOptions {
-                    budget,
+                    budget: request_budget(*max_page_reads, None),
                     ..KcrOptions::default()
                 };
-                Some(match engine.answer_kcr(question, opts) {
-                    Ok(answer) => render_whynot_answer(engine.vocabulary(), &answer, false),
+                Some(match view.answer_kcr(question, opts) {
+                    Ok(answer) => render_whynot_answer(view.vocabulary(), &answer, false),
                     Err(e) => protocol::render_error(&e.to_string()),
                 })
             }
             ResolvedRequest::Ingest(_) | ResolvedRequest::Stats => None,
-        }
+        })
     }
 
     fn execute_ingest(&self, mutation: &Mutation) -> String {
@@ -574,10 +543,7 @@ impl ServeEngine {
     }
 
     fn execute_stats(&self) -> String {
-        let objects = match &self.backend {
-            Backend::Single(engine) => engine.read().unwrap().dataset().live_len(),
-            Backend::Sharded(coord) => coord.read().unwrap().dataset().live_len(),
-        };
+        let objects = self.read(|view| view.dataset().live_len());
         let snapshot = self.registry.snapshot();
         let counters: Vec<(&str, u64)> = [
             names::SERVE_ACCEPTED,
@@ -707,10 +673,35 @@ fn flight_identity(request: &ResolvedRequest) -> (&'static str, String) {
     }
 }
 
+/// The why-not budget of one request: its page-read cap and what is
+/// left of its deadline, when given.
+fn request_budget(max_page_reads: Option<u64>, remaining: Option<Duration>) -> QueryBudget {
+    let mut budget = QueryBudget::unlimited();
+    if let Some(d) = remaining {
+        budget = budget.with_deadline(d);
+    }
+    if let Some(max) = max_page_reads {
+        budget = budget.with_max_page_reads(max);
+    }
+    budget
+}
+
+/// A delete can race past `resolve`'s liveness check while the request
+/// is queued; the solver would chase an object that no longer exists,
+/// so why-nots re-check under the execution lock. Returns the error
+/// response, if any missing object is gone.
+fn deleted_missing(view: &dyn ReadView, question: &WhyNotQuestion) -> Option<String> {
+    question
+        .missing
+        .iter()
+        .find(|m| !view.dataset().is_live(**m))
+        .map(|m| protocol::render_error(&format!("object id {} has been deleted", m.0)))
+}
+
 /// Resolves a wire request against a dataset + optional vocabulary —
-/// the backend-neutral core of [`ServeEngine::resolve`] (single mode
-/// hands in the engine's dataset, sharded mode the coordinator's
-/// mirror; both validate against exactly the same live set).
+/// the core of [`ServeEngine::resolve`] (single mode hands in the
+/// engine's dataset, sharded mode the coordinator's mirror; both
+/// validate against exactly the same live set).
 fn resolve_against(
     dataset: &Dataset,
     vocab: Option<&Vocabulary>,

@@ -1,15 +1,17 @@
 //! End-to-end sharded serving: a coordinator-backed server must answer
-//! the same wire script bit-identically to a single-engine server —
-//! topk rank lists and why-not refinements compared field by field,
-//! scores and penalties by `f64` bits — while routing mutations by
-//! partition key. Also pins the coordinator admin plane: the `/healthz`
-//! "shards" array and the per-shard admin listeners.
+//! the same wire script with the very response lines a single-engine
+//! server sends — cache markers included, since both backends share one
+//! cache path — while routing mutations by partition key. Also pins the
+//! coordinator admin plane: the `/healthz` "shards" array, the
+//! per-shard admin listeners, and one slow-log trace tree per sharded
+//! why-not.
 
+use std::time::Duration;
 use wnsk_core::WhyNotEngine;
 use wnsk_data::{generate, DatasetSpec};
 use wnsk_obs::JsonValue;
 use wnsk_serve::client::{delete_line, insert_line, topk_line, whynot_line};
-use wnsk_serve::{http_get, Client, Server, ServerConfig, ServerHandle};
+use wnsk_serve::{http_get, Client, ObservabilityConfig, Server, ServerConfig, ServerHandle};
 use wnsk_shard::{Coordinator, CoordinatorConfig, ShardManifest};
 
 const K: usize = 3;
@@ -38,23 +40,6 @@ fn sharded_server(shards: usize, threads: usize, config: ServerConfig) -> Server
     .expect("partition covers the dataset")
     .with_vocabulary(data.vocabulary);
     Server::start_sharded(coordinator, config).unwrap()
-}
-
-/// Strips the caching markers (`cached`, `rank_reused`) that legally
-/// differ between a caching single server and the cache-bypassing
-/// sharded why-not path; everything else must be identical.
-fn strip_markers(doc: &JsonValue) -> JsonValue {
-    match doc {
-        JsonValue::Object(fields) => JsonValue::Object(
-            fields
-                .iter()
-                .filter(|(k, _)| k != "cached" && k != "rank_reused")
-                .map(|(k, v)| (k.clone(), strip_markers(v)))
-                .collect(),
-        ),
-        JsonValue::Array(items) => JsonValue::Array(items.iter().map(strip_markers).collect()),
-        other => other.clone(),
-    }
 }
 
 /// The first `n` vocabulary names — both servers attach the same
@@ -98,13 +83,9 @@ fn sharded_server_matches_single_server_line_for_line() {
         let mut c_single = Client::connect(single.addr()).unwrap();
         let mut c_sharded = Client::connect(sharded.addr()).unwrap();
         for line in script(&names) {
-            let a = c_single.call_json(&line).unwrap();
-            let b = c_sharded.call_json(&line).unwrap();
-            assert_eq!(
-                strip_markers(&a),
-                strip_markers(&b),
-                "s={shards} diverged on line {line}"
-            );
+            let a = c_single.call(&line).unwrap();
+            let b = c_sharded.call(&line).unwrap();
+            assert_eq!(a, b, "s={shards} diverged on line {line}");
         }
 
         // A why-not question both servers agree is missing: take an
@@ -120,26 +101,39 @@ fn sharded_server_matches_single_server_line_for_line() {
             let ranking = engine.top_k(&q).unwrap();
             ((0.45, 0.5), ranking[10].0 .0)
         };
+        // Asked twice: the repeat reuses the cached initial rank on both
+        // sides (`rank_reused`), so the lines must match again.
         let kw = [names[0].as_str(), names[1].as_str()];
         let line = whynot_line(at, &kw, K, ALPHA, &[missing], LAMBDA, None);
-        let a = c_single.call_json(&line).unwrap();
-        let b = c_sharded.call_json(&line).unwrap();
-        assert_eq!(
-            strip_markers(&a),
-            strip_markers(&b),
-            "s={shards} why-not diverged"
-        );
-        assert_eq!(
-            b.get("quality"),
-            Some(&JsonValue::String("exact".into())),
-            "sharded why-not must be exact: {b:?}"
-        );
+        for ask in 0..2 {
+            let a = c_single.call(&line).unwrap();
+            let b = c_sharded.call(&line).unwrap();
+            assert_eq!(a, b, "s={shards} why-not diverged on ask {ask}");
+            let b = JsonValue::parse(&b).unwrap();
+            assert_eq!(
+                b.get("quality"),
+                Some(&JsonValue::String("exact".into())),
+                "sharded why-not must be exact: {b:?}"
+            );
+            assert_eq!(
+                b.get("rank_reused"),
+                Some(&JsonValue::Bool(ask == 1)),
+                "the repeat reuses the rank: {b:?}"
+            );
+        }
+
+        // A zero page-read budget degrades both sides identically.
+        let capped = line.replacen('}', ",\"max_page_reads\":0}", 1);
+        let a = c_single.call(&capped).unwrap();
+        let b = c_sharded.call(&capped).unwrap();
+        assert_eq!(a, b, "s={shards} degraded why-not diverged");
+        assert!(a.contains("degraded"), "a zero page-read cap degrades: {a}");
 
         // Deletes route to the owning shard and both sides agree.
         let del = delete_line(missing);
-        let a = c_single.call_json(&del).unwrap();
-        let b = c_sharded.call_json(&del).unwrap();
-        assert_eq!(strip_markers(&a), strip_markers(&b), "delete diverged");
+        let a = c_single.call(&del).unwrap();
+        let b = c_sharded.call(&del).unwrap();
+        assert_eq!(a, b, "delete diverged");
 
         single.shutdown();
         sharded.shutdown();
@@ -204,4 +198,68 @@ fn sharded_healthz_and_per_shard_admin_planes() {
         assert_eq!(row.get("shard").and_then(JsonValue::as_f64), Some(s as f64));
     }
     handle.shutdown();
+}
+
+#[test]
+fn sharded_whynot_files_one_trace_tree_and_observation_changes_nothing() {
+    let observed = sharded_server(
+        2,
+        2,
+        ServerConfig {
+            admin_addr: Some("127.0.0.1:0".to_string()),
+            observability: Some(ObservabilityConfig {
+                slow_threshold: Duration::ZERO,
+                window_interval: Duration::from_secs(3600),
+                ..ObservabilityConfig::default()
+            }),
+            ..ServerConfig::default()
+        },
+    );
+    let plain = sharded_server(2, 2, ServerConfig::default());
+    let missing = {
+        let coord = plain.serve_engine().coordinator();
+        let q = wnsk_index::SpatialKeywordQuery::new(
+            wnsk_geo::Point::new(0.45, 0.5),
+            wnsk_text::KeywordSet::from_ids([0u32, 1]),
+            20,
+            ALPHA,
+        );
+        coord.top_k(&q).unwrap()[10].0 .0
+    };
+    let names = vocab_names(2);
+    let kw = [names[0].as_str(), names[1].as_str()];
+    let line = whynot_line((0.45, 0.5), &kw, K, ALPHA, &[missing], LAMBDA, None);
+    let mut c_observed = Client::connect(observed.addr()).unwrap();
+    let mut c_plain = Client::connect(plain.addr()).unwrap();
+    for ask in 0..2 {
+        assert_eq!(
+            c_observed.call(&line).unwrap(),
+            c_plain.call(&line).unwrap(),
+            "observation changed the answer on ask {ask}"
+        );
+    }
+
+    let admin = observed.admin_addr().unwrap().to_string();
+    let (status, body) = http_get(&admin, "/slow").unwrap();
+    assert_eq!(status, 200);
+    let doc = JsonValue::parse(&body).unwrap();
+    let entries = doc.get("entries").and_then(JsonValue::as_array).unwrap();
+    assert_eq!(entries.len(), 2, "both asks slow-logged: {body}");
+    for entry in entries {
+        let trace = entry.get("trace").expect("each ask held the trace slot");
+        let tree = trace.get("tree").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(tree.len(), 1, "one trace tree per request: {trace:?}");
+        assert_eq!(
+            tree[0].get("name").and_then(JsonValue::as_str),
+            Some("kcr.query"),
+            "{trace:?}"
+        );
+        let children = tree[0].get("children").and_then(JsonValue::as_array);
+        assert!(
+            children.is_some_and(|c| !c.is_empty()),
+            "the sharded solver recorded its phases: {trace:?}"
+        );
+    }
+    observed.shutdown();
+    plain.shutdown();
 }

@@ -1,6 +1,6 @@
 //! The scatter-gather coordinator: one [`WhyNotEngine`] per shard
 //! (plus optional read replicas), a full-corpus mirror dataset for
-//! penalty bookkeeping, and merge logic proven bit-identical to the
+//! penalty bookkeeping, and query paths proven bit-identical to the
 //! single-shard engine.
 //!
 //! # Bit-identity argument
@@ -20,21 +20,24 @@
 //! * **ranks**: dominator counts are additive over a disjoint
 //!   partition, so `R(M, q) = 1 + Σ_s |{o ∈ shard_s : ST(o,q) >
 //!   min_m ST(m,q)}|` equals the single-engine rank scan.
-//! * **why-not**: the coordinator replays the reference solver's
-//!   sequential candidate order over the mirror (same enumeration, same
-//!   penalty model, same strict-improvement rule), with each
-//!   candidate's rank verified by a scatter of shard-local
-//!   [`WhyNotEngine::count_dominators`] scans under the *full*
-//!   tie-permissive rank limit. A shard aborting at limit `l` implies
-//!   the global scan would abort; all shards exact with `Σ + 1 ≤ l`
-//!   implies the global scan completes with the same rank — so
-//!   prune/accept decisions match the one-shard solver exactly, for
-//!   every scatter thread count.
+//! * **why-not**: the coordinator runs the single engine's solver,
+//!   KcRBased ([`wnsk_core::answer_kcr_forest`]), over the *forest* of
+//!   shard KcR-trees. The shard roots seed one frontier as children of a
+//!   virtual super-root; every Theorem 2/3 `MaxDom`/`MinDom` bracket is
+//!   a sum over a partition of the objects, so each bracket, prune and
+//!   offer equals the one a single tree over the whole corpus yields, and
+//!   the refined query is the same minimum (penalty, candidate sequence,
+//!   rank) for every shard count, scatter thread count, solver thread
+//!   count and kernel. Enumeration, penalty normalisers and the
+//!   degradation fallback read the mirror, which holds exactly the
+//!   single engine's dataset.
 //!
-//! The cross-shard penalty bound is a [`SharedBound`] (the same
-//! fetch-min the parallel solvers use): every improvement a candidate
-//! streams back tightens the rank limit later candidates scatter with,
-//! and the tightening count is exported as `shard.bound_tightenings`.
+//! Because it is the same solver, a sharded why-not honours the
+//! request's [`wnsk_core::QueryBudget`] (deadline and page-read cap,
+//! summed over every shard's pool), degrades through the same ladder,
+//! and accepts the serving layer's cached initial-rank hint. The
+//! solver's shared-penalty tightenings are exported as
+//! `shard.bound_tightenings`.
 //!
 //! # Durability
 //!
@@ -57,11 +60,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 use wnsk_core::{
-    AlgoStats, AnswerQuality, CandidateEnumerator, DominatorCount, Mutation, RefinedQuery,
-    WhyNotAnswer, WhyNotContext, WhyNotEngine, WhyNotError, WhyNotQuestion,
+    answer_kcr_forest, KcrOptions, Mutation, WhyNotAnswer, WhyNotEngine, WhyNotError,
+    WhyNotQuestion,
 };
-use wnsk_exec::{ExecMetrics, Executor, SharedBound};
-use wnsk_index::{Dataset, ObjectId, SpatialKeywordQuery, SpatialObject};
+use wnsk_exec::{ExecMetrics, Executor};
+use wnsk_index::{Dataset, KcrTree, ObjectId, SpatialKeywordQuery, SpatialObject};
 use wnsk_obs::{names, Counter, Hist, JsonValue, Registry};
 use wnsk_storage::{BufferPool, FileBackend, RecoveryReport, Wal};
 use wnsk_text::Vocabulary;
@@ -112,9 +115,11 @@ pub struct CoordinatorConfig {
     /// Replicas are read-only fan-out targets behind the same
     /// epoch-stamped invalidation; writes go to every copy.
     pub replicas: usize,
-    /// Threads used to scatter queries across shards (1 = sequential).
-    /// Purely a wall-time knob: merged answers are bit-identical for
-    /// every value.
+    /// Threads a query fans out over across shards (1 = sequential): the
+    /// top-k scatter workers, and the least number of solver workers a
+    /// why-not runs with (`KcrOptions::threads` may ask for more).
+    /// Purely a wall-time knob: answers are bit-identical for every
+    /// value.
     pub threads: usize,
     /// Per-shard in-flight mutation cap; a routed mutation arriving
     /// while the target shard already holds `cap` in flight is shed
@@ -211,8 +216,8 @@ pub struct Coordinator {
     term_routes: BTreeMap<u32, usize>,
     shards: Vec<Shard>,
     /// Full-corpus mirror (no indexes): drives enumeration benefits,
-    /// penalty normalisers and liveness checks with exactly the state a
-    /// single engine would hold.
+    /// penalty normalisers, the degradation fallback and liveness checks
+    /// with exactly the state a single engine would hold.
     mirror: Dataset,
     /// Global slot id → (shard, local slot id).
     locate: Vec<(u32, u32)>,
@@ -323,6 +328,17 @@ impl Coordinator {
     /// The attached vocabulary, if any.
     pub fn vocabulary(&self) -> Option<&Vocabulary> {
         self.vocabulary.as_ref()
+    }
+
+    /// Installs one tracer on every shard copy (primaries and replicas),
+    /// so a traced query records one span tree whichever copies it
+    /// reads — see [`WhyNotEngine::set_tracer`].
+    pub fn set_tracer(&mut self, tracer: wnsk_obs::Tracer) {
+        for shard in &mut self.shards {
+            for engine in std::iter::once(&mut shard.primary).chain(&mut shard.replicas) {
+                engine.set_tracer(tracer.clone());
+            }
+        }
     }
 
     /// The partition plan this coordinator serves.
@@ -705,123 +721,30 @@ impl Coordinator {
         Ok(all)
     }
 
-    /// The global rank `R(M, q)` reconstructed from scattered per-shard
-    /// dominator counts (strict dominators + 1).
-    pub fn initial_rank(&self, question: &WhyNotQuestion) -> Result<usize> {
-        let min_score = self.min_target_score(question);
-        let counts =
-            self.scatter(|_s, engine| engine.count_dominators(&question.query, min_score, None))?;
-        let dominators: usize = counts
-            .iter()
-            .map(|c| match c {
-                DominatorCount::Exact(n) | DominatorCount::AtLeast(n) => *n,
-            })
-            .sum();
-        Ok(dominators + 1)
-    }
-
-    fn min_target_score(&self, question: &WhyNotQuestion) -> f64 {
-        question
-            .missing
-            .iter()
-            .map(|&id| self.mirror.score(self.mirror.object(id), &question.query))
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Answers a why-not question with the scatter-gather solver: the
-    /// reference sequential candidate order over the mirror, each
-    /// candidate's rank verified by scattered shard-local dominator
-    /// scans under the shared cross-shard bound. Always exact (no
-    /// budget ladder); bit-identical to the single-engine solvers.
-    pub fn whynot(&self, question: &WhyNotQuestion) -> Result<WhyNotAnswer> {
-        let wall_start = Instant::now();
-        question.validate(&self.mirror)?;
-        let rank_start = Instant::now();
-        let initial_rank = self.initial_rank(question)?;
-        let phase_initial_rank = rank_start.elapsed();
-        let ctx = WhyNotContext::new(&self.mirror, question, initial_rank)?;
-        let enum_start = Instant::now();
-        let enumerator = CandidateEnumerator::new(&ctx);
-        let phase_enumeration = enum_start.elapsed();
-
-        let verify_start = Instant::now();
-        let bound = SharedBound::new(ctx.penalty.baseline_penalty());
-        let mut best = ctx.baseline();
-        let mut stats = AlgoStats {
-            initial_rank: initial_rank as u64,
-            ..AlgoStats::default()
+    /// Answers a why-not question with KcRBased over the forest of shard
+    /// KcR-trees (each shard's round-robin read copy), the mirror
+    /// standing in for the dataset — the single engine's
+    /// [`WhyNotEngine::answer_kcr`], options and all: budgets degrade
+    /// the answer and a rank hint skips the initial-rank phase. The
+    /// traversal fans out over `opts.threads` workers, but never fewer
+    /// than the coordinator's own `threads`: a why-not spreads across
+    /// the shards as a top-k scatter does.
+    pub fn answer_kcr(
+        &self,
+        question: &WhyNotQuestion,
+        opts: KcrOptions,
+    ) -> wnsk_core::Result<WhyNotAnswer> {
+        self.scatter_count.inc();
+        let forest: Vec<&KcrTree> = (0..self.shards.len())
+            .map(|s| self.read_engine(s).kcr())
+            .collect();
+        let opts = KcrOptions {
+            threads: opts.threads.max(self.threads),
+            ..opts
         };
-        'layers: for d in 1..=enumerator.max_edit_distance() {
-            // Eqn. 6 early stop: the keyword penalty alone already
-            // matches the best, and it only grows with d.
-            if ctx.penalty.keyword_penalty(d) >= bound.value() {
-                break 'layers;
-            }
-            for cand in enumerator.layer(d, true) {
-                stats.candidates_total += 1;
-                let p_c = bound.value();
-                let limit = match ctx.penalty.rank_upper_limit(d, p_c) {
-                    None => {
-                        stats.pruned_by_bound += 1;
-                        continue;
-                    }
-                    Some(usize::MAX) => None,
-                    Some(r) => Some(r),
-                };
-                let targets = ctx.missing_targets(&cand.doc);
-                let min_score = targets
-                    .iter()
-                    .map(|&(_, score)| score)
-                    .fold(f64::INFINITY, f64::min);
-                let q_s = ctx.query.with_doc(cand.doc.clone());
-                stats.queries_run += 1;
-                // Full-limit scatter: every shard counts under the same
-                // tie-permissive limit; the abort/complete decision on
-                // the gathered counts reproduces the single scan's.
-                let counts =
-                    self.scatter(|_s, engine| engine.count_dominators(&q_s, min_score, limit))?;
-                let mut dominators = 0usize;
-                let mut aborted = false;
-                for c in &counts {
-                    match c {
-                        DominatorCount::Exact(n) => dominators += n,
-                        DominatorCount::AtLeast(n) => {
-                            dominators += n;
-                            aborted = true;
-                        }
-                    }
-                }
-                if aborted || matches!(limit, Some(l) if dominators + 1 > l) {
-                    stats.pruned_by_bound += 1;
-                    continue;
-                }
-                let rank = dominators + 1;
-                let penalty = ctx.penalty.penalty(d, rank);
-                // Strict improvement in sequence order — the same
-                // winner the solvers' total-order BestKey merge picks.
-                if penalty < best.penalty {
-                    best = RefinedQuery {
-                        doc: cand.doc.clone(),
-                        k: ctx.refined_k(rank),
-                        rank,
-                        edit_distance: d,
-                        penalty,
-                    };
-                    bound.refresh(penalty);
-                }
-            }
-        }
-        stats.phase_verification = verify_start.elapsed();
-        stats.phase_initial_rank = phase_initial_rank;
-        stats.phase_enumeration = phase_enumeration;
-        stats.bound_refreshes = bound.tightened();
-        stats.wall = wall_start.elapsed();
-        self.tightenings.add(bound.tightened());
-        Ok(WhyNotAnswer {
-            refined: best,
-            stats,
-            quality: AnswerQuality::Exact,
-        })
+        let answer = answer_kcr_forest(&self.mirror, &forest, question, opts)?;
+        self.tightenings.add(answer.stats.bound_refreshes);
+        Ok(answer)
     }
 }
 

@@ -10,12 +10,11 @@
 //!   that round-trips through JSON and is written atomically.
 //! * [`coordinator`] — one [`wnsk_core::WhyNotEngine`] per shard (plus
 //!   optional read replicas) behind a [`Coordinator`] that scatters
-//!   top-k / why-not / dominator-count work across shards on a shared
-//!   executor pool, tightens a cross-shard [`wnsk_exec::SharedBound`]
-//!   as partial results stream back, and merges per-shard answers into
-//!   results that are **bit-identical** to a single-shard engine — same
-//!   penalty bits, same rank lists, same refined queries — for every
-//!   shard count and thread count. Mutations route by partition key
+//!   top-k across shards on a shared executor pool and answers why-nots
+//!   with the engine's own KcRBased solver run over the forest of shard
+//!   KcR-trees — results **bit-identical** to a single-shard engine
+//!   (same penalty bits, same rank lists, same refined queries) for
+//!   every shard count and thread count. Mutations route by partition key
 //!   through per-shard WALs plus a coordinator route log, so shards
 //!   crash-recover independently.
 

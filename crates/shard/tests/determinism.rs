@@ -1,14 +1,19 @@
 //! Coordinator bit-identity: scatter-gather answers merged across
-//! s ∈ {1, 2, 4} shards at t ∈ {1, 2, 4} scatter threads must equal the
-//! single-shard engine's answers *exactly* — rank lists bit for bit,
+//! s ∈ {1, 2, 4} shards at t ∈ {1, 2, 4} scatter threads — and why-nots
+//! over the shard forest at t ∈ {1, 2, 4} solver threads — must equal
+//! the single-shard engine's answers *exactly* — rank lists bit for bit,
 //! refined queries field for field, penalties by their `f64` bit
-//! patterns — including under a churn script and after crash-recovering
-//! one shard from the coordinator route log.
+//! patterns — including under a churn script, after crash-recovering
+//! one shard from the coordinator route log, and when a spent budget
+//! degrades the answer.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
-use wnsk_core::{KcrOptions, Mutation, RefinedQuery, WhyNotEngine, WhyNotQuestion};
+use std::time::Duration;
+use wnsk_core::{
+    AnswerQuality, KcrOptions, Mutation, QueryBudget, RefinedQuery, WhyNotEngine, WhyNotQuestion,
+};
 use wnsk_geo::{Point, WorldBounds};
 use wnsk_index::{Dataset, ObjectId, SpatialKeywordQuery, SpatialObject};
 use wnsk_shard::{Coordinator, CoordinatorConfig, ShardError, ShardManifest};
@@ -162,17 +167,68 @@ fn coordinator_whynot_matches_every_kernel_and_solver() {
         for shards in SHARD_COUNTS {
             for threads in THREAD_COUNTS {
                 let coord = coordinator(&ds, shards, threads);
-                let merged = coord.whynot(&question).unwrap();
-                let label = format!("whynot s={shards} t={threads} seed={seed}");
-                assert_refined_identical(&advanced.refined, &merged.refined, &label);
-                assert_eq!(
-                    advanced.stats.initial_rank, merged.stats.initial_rank,
-                    "{label}: initial rank R(M, q) diverged"
-                );
+                for solver_threads in THREAD_COUNTS {
+                    for kernel in Kernel::ALL {
+                        let opts = KcrOptions {
+                            threads: solver_threads,
+                            kernel,
+                            ..KcrOptions::default()
+                        };
+                        let merged = coord.answer_kcr(&question, opts).unwrap();
+                        let label = format!(
+                            "whynot s={shards} t={threads} solver t={solver_threads} \
+                             kernel={kernel:?} seed={seed}"
+                        );
+                        assert_refined_identical(&advanced.refined, &merged.refined, &label);
+                        assert_eq!(
+                            advanced.stats.initial_rank, merged.stats.initial_rank,
+                            "{label}: initial rank R(M, q) diverged"
+                        );
+                        assert_eq!(merged.quality, AnswerQuality::Exact, "{label}");
+                    }
+                }
             }
         }
     }
     assert!(covered >= 3, "only {covered} seeds produced a workload");
+}
+
+#[test]
+fn coordinator_degrades_like_the_single_engine_on_a_spent_budget() {
+    let vocab = 40;
+    let mut covered = 0;
+    for seed in 0..3u64 {
+        let ds = random_dataset(300, vocab, 1000 + seed);
+        let Some(question) = make_question(&ds, vocab, 2000 + seed) else {
+            continue;
+        };
+        covered += 1;
+        let engine = WhyNotEngine::build_in_memory(ds.clone()).unwrap();
+        // Both with and without a rank hint: a zero deadline breaches
+        // in the initial-rank scan, or (hinted) before the first layer.
+        let initial_rank = engine.answer(&question).unwrap().stats.initial_rank as usize;
+        for hint in [None, Some(initial_rank)] {
+            let opts = KcrOptions {
+                budget: QueryBudget::unlimited().with_deadline(Duration::ZERO),
+                initial_rank_hint: hint,
+                ..KcrOptions::default()
+            };
+            let base = engine.answer_kcr(&question, opts).unwrap();
+            assert!(
+                base.quality.is_degraded(),
+                "seed={seed}: {:?}",
+                base.quality
+            );
+            for shards in SHARD_COUNTS {
+                let coord = coordinator(&ds, shards, 2);
+                let merged = coord.answer_kcr(&question, opts).unwrap();
+                let label = format!("degraded s={shards} hint={hint:?} seed={seed}");
+                assert_eq!(base.quality, merged.quality, "{label}: quality diverged");
+                assert_refined_identical(&base.refined, &merged.refined, &label);
+            }
+        }
+    }
+    assert!(covered >= 2, "only {covered} seeds produced a workload");
 }
 
 /// A seeded churn script: inserts, deletes and doc updates applied in
@@ -242,7 +298,7 @@ fn coordinator_stays_identical_under_churn() {
         }
         if let Some(question) = make_question(&churned, vocab, 9200 + seed) {
             let base = engine.answer(&question).unwrap();
-            let merged = coord.whynot(&question).unwrap();
+            let merged = coord.answer_kcr(&question, KcrOptions::default()).unwrap();
             assert_refined_identical(
                 &base.refined,
                 &merged.refined,
@@ -319,7 +375,7 @@ fn route_log_recovers_a_shard_that_lost_its_wal() {
     }
     if let Some(question) = make_question(coord.dataset(), vocab, 601) {
         let base = engine.answer(&question).unwrap();
-        let merged = coord.whynot(&question).unwrap();
+        let merged = coord.answer_kcr(&question, KcrOptions::default()).unwrap();
         assert_refined_identical(&base.refined, &merged.refined, "recovered whynot");
     }
 
