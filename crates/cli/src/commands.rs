@@ -485,23 +485,6 @@ fn render_recovery(path: &str, report: &wnsk_storage::RecoveryReport) -> String 
     line
 }
 
-/// Renders a sharded recovery banner: one line per shard WAL plus the
-/// route-log summary (records found, records redone into shards whose
-/// own WAL had lost them).
-fn render_shard_recovery(dir: &str, recovery: &wnsk_shard::ShardRecovery) -> String {
-    let mut out = String::new();
-    for (s, report) in recovery.shards.iter().enumerate() {
-        out.push_str(&render_recovery(&format!("{dir}/shard-{s}.wal"), report));
-    }
-    writeln!(
-        out,
-        "route log: {} committed records, {} redone into lagging shards",
-        recovery.route_records, recovery.redone
-    )
-    .unwrap();
-    out
-}
-
 /// Writes `contents` to `path` via a temp file in the same directory
 /// plus an atomic rename, so a reader polling for the file (a test
 /// harness or CI script waiting on an address) never observes a torn
@@ -727,27 +710,25 @@ pub fn serve(args: &ParsedArgs) -> Result<String, String> {
             ),
         };
         let coord_config = CoordinatorConfig {
-            replicas: args.parse_or("replicas", 1usize)?.max(1),
             threads: config.threads,
-            admission_cap: match args.optional("shard-admission") {
-                None => None,
-                Some(v) => Some(v.parse().map_err(|e| format!("--shard-admission: {e}"))?),
-            },
             ..CoordinatorConfig::default()
         };
         let note = format!(
-            "{} shards x {} replica(s), routing by keyword affinity",
-            manifest.shard_count(),
-            coord_config.replicas
+            "{} shards, routing by keyword affinity",
+            manifest.shard_count()
         );
         let mut coordinator = Coordinator::new(ds, manifest, coord_config)
             .map_err(|e| format!("building coordinator: {e}"))?
             .with_vocabulary(vocab);
         if let Some(dir) = args.optional("shard-wal-dir") {
-            let recovery = coordinator
+            let report = coordinator
                 .attach_wal_dir(Path::new(dir))
                 .map_err(|e| format!("recovering {dir}: {e}"))?;
-            recovery_banner = render_shard_recovery(dir, &recovery);
+            recovery_banner = format!(
+                "route log: {} committed records\n{}",
+                report.records_replayed,
+                render_recovery(&format!("{dir}/route.wal"), &report)
+            );
         }
         let objects = coordinator.dataset().live_len();
         let handle = Server::start_sharded(coordinator, config.clone())
@@ -1065,29 +1046,17 @@ fn render_top(admin: &str, healthz: &JsonValue, slow: &JsonValue) -> String {
             .unwrap();
         }
     }
-    // Sharded servers expose one row per shard; the shed rate is per
-    // shard mutation traffic (epoch counts applied mutations).
+    // Sharded servers expose one row per shard (epoch counts the
+    // mutations routed to it).
     if let Some(shards) = healthz.get("shards").and_then(JsonValue::as_array) {
-        writeln!(
-            out,
-            "{:>6} {:>9} {:>8} {:>9} {:>6} {:>10} {:>9} {:>9}",
-            "shard", "objects", "epoch", "inflight", "shed", "shed-rate", "wal-lsn", "replicas"
-        )
-        .unwrap();
+        writeln!(out, "{:>6} {:>9} {:>8}", "shard", "objects", "epoch").unwrap();
         for row in shards {
-            let shed = num(row, "shed");
-            let epoch = num(row, "epoch");
             writeln!(
                 out,
-                "{:>6} {:>9} {:>8} {:>9} {:>6} {:>9.1}% {:>9} {:>9}",
+                "{:>6} {:>9} {:>8}",
                 num(row, "shard"),
                 num(row, "objects"),
-                epoch,
-                num(row, "inflight"),
-                shed,
-                pct(shed, epoch + shed),
-                num(row, "wal_lsn"),
-                num(row, "replicas"),
+                num(row, "epoch"),
             )
             .unwrap();
         }
@@ -2231,7 +2200,7 @@ mod tests {
     }
 
     /// A sharded `/healthz` grows a per-shard table: one row per shard
-    /// with its epoch, inflight mutations, shed rate and WAL lsn.
+    /// with its live objects and epoch.
     #[test]
     fn top_renders_per_shard_rows() {
         use wnsk_obs::JsonValue;
@@ -2240,10 +2209,8 @@ mod tests {
                 "wal_attached":true,"cache_entries":0,"accepted":40,"shed":4,
                 "cache_hits":0,"cache_misses":0,
                 "shards":[
-                  {"shard":0,"replicas":2,"objects":150,"epoch":9,"inflight":1,
-                   "admission_cap":16,"shed":3,"wal_lsn":9},
-                  {"shard":1,"replicas":2,"objects":152,"epoch":3,"inflight":0,
-                   "admission_cap":16,"shed":1,"wal_lsn":3}]}"#,
+                  {"shard":0,"objects":150,"epoch":9},
+                  {"shard":1,"objects":152,"epoch":3}]}"#,
         )
         .unwrap();
         let empty_slow = JsonValue::parse(r#"{"logged":0,"entries":[]}"#).unwrap();
@@ -2252,14 +2219,19 @@ mod tests {
             .lines()
             .find(|l| l.trim_start().starts_with("shard"))
             .expect("shard table header");
-        for col in ["objects", "epoch", "inflight", "shed-rate", "wal-lsn"] {
+        for col in ["objects", "epoch"] {
             assert!(header.contains(col), "{header}");
         }
         let row0 = frame.lines().find(|l| l.contains("150")).unwrap();
-        // shard 0: 3 shed over 9 applied -> 25.0% of mutation traffic.
-        assert!(row0.contains("25.0%"), "{row0}");
+        assert_eq!(
+            row0.split_whitespace().collect::<Vec<_>>(),
+            ["0", "150", "9"]
+        );
         let row1 = frame.lines().find(|l| l.contains("152")).unwrap();
-        assert!(row1.contains("25.0%"), "{row1}");
+        assert_eq!(
+            row1.split_whitespace().collect::<Vec<_>>(),
+            ["1", "152", "3"]
+        );
     }
 
     /// End-to-end observability session: `wnsk serve --admin-addr`

@@ -118,9 +118,8 @@ commands:
             [--metrics-export-interval-ms N] [--replay SESSION]
             [--admin-addr HOST:PORT] [--admin-addr-file PATH]
             [--slow-threshold-ms N] [--slo-ms N]
-            [--shards N | --manifest FILE] [--shard-seed N] [--replicas R]
-            [--shard-wal-dir DIR] [--shard-admission CAP]
-            [--shard-admin-addr-file PREFIX]
+            [--shards N | --manifest FILE] [--shard-seed N]
+            [--shard-wal-dir DIR] [--shard-admin-addr-file PREFIX]
   shard-plan --data FILE --shards N --out FILE [--seed N]
   top       --admin HOST:PORT [--interval-ms N] [--iterations N]
             [--check] [--metrics-out PATH]
@@ -157,13 +156,12 @@ serve --admin-addr starts the HTTP admin endpoint (/metrics /healthz
 rolling SLO windows; top polls it as a live dashboard, and top --check
 validates one scrape for CI (--metrics-out saves the raw text).
 serve --shards N (or --manifest FILE from shard-plan) runs the
-scatter-gather coordinator: one engine per shard, mutations routed by
-keyword affinity, answers merged bit-identically to a single engine.
---replicas fans hot-shard reads out round-robin, --shard-wal-dir gives
-every shard its own WAL plus a route log for independent crash
-recovery, --shard-admission caps per-shard in-flight mutations, and
---shard-admin-addr-file PREFIX writes each shard's admin address to
-PREFIX<i> (all address files land via tmp-file + atomic rename).
+scatter-gather coordinator: one dataset, a SetR/KcR index pair per
+shard, mutations routed by keyword affinity, answers merged
+bit-identically to a single engine. --shard-wal-dir keeps one route log
+(DIR/route.wal) that a restart replays, and --shard-admin-addr-file
+PREFIX writes each shard's admin address to PREFIX<i> (all address
+files land via tmp-file + atomic rename).
 loadgen --mutate-ratio F mixes that fraction of routed inserts into
 the request pool (insert-only, so zipf replays stay valid).
 fuzz cross-checks the full solver matrix against the sequential BS

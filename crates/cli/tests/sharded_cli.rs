@@ -123,8 +123,6 @@ fn sharded_serve_session_with_routed_ingest() {
         &data,
         "--shards",
         "2",
-        "--replicas",
-        "2",
         "--shard-wal-dir",
         wal_dir.to_str().unwrap(),
         "--admin-addr",

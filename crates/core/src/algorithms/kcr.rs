@@ -128,9 +128,9 @@ pub fn answer_kcr(
 /// **KcRBased** over a forest: `forest` holds KcR-trees over disjoint
 /// slices of `dataset` that share its world bounds (e.g. one per shard),
 /// and the answer is the one [`answer_kcr`] gives over a single tree of
-/// the whole dataset. Tree-local object ids never reach the solver: it
-/// reads only scores and node summaries from the trees, and takes the
-/// missing objects, corpus statistics and fallback from `dataset`.
+/// the whole dataset. The solver reads only scores and node summaries
+/// from the trees, and takes the missing objects, corpus statistics and
+/// fallback from `dataset`.
 pub fn answer_kcr_forest(
     dataset: &Dataset,
     forest: &[&KcrTree],
@@ -450,8 +450,8 @@ fn run_inner(
 /// add up over disjoint trees — so each tree runs the single-tree rank
 /// scan (a parallel dominator count with several workers, bit-identical
 /// to the best-first scan — see [`crate::algorithms::count`]) and the
-/// counts are summed. Both scans compare scores only, never ids, so
-/// tree-local ids are harmless. A breach in any tree ends the phase.
+/// counts are summed. Both scans compare scores only, never ids. A
+/// breach in any tree ends the phase.
 fn forest_rank(
     forest: &[&KcrTree],
     exec: &Executor,

@@ -4,12 +4,13 @@ use crate::algorithms::{
     answer_advanced, answer_approx_kcr, answer_basic, answer_kcr, AdvancedOptions, KcrOptions,
 };
 use crate::error::{Result, WhyNotError};
+use crate::index_pair::IndexPair;
 use crate::ingest::Mutation;
 use crate::question::{AlgoStats, WhyNotAnswer, WhyNotQuestion};
 use std::sync::Arc;
 use wnsk_index::{Dataset, KcrTree, ObjectId, SetRTree, SpatialKeywordQuery};
 use wnsk_obs::{names, QueryReport, Registry, Snapshot};
-use wnsk_storage::{BufferPool, BufferPoolConfig, MemBackend, RecoveryReport, StorageError, Wal};
+use wnsk_storage::{BufferPool, BufferPoolConfig, RecoveryReport, StorageError, Wal};
 use wnsk_text::Vocabulary;
 
 /// A ready-to-query why-not engine: dataset + SetR-tree + KcR-tree, each
@@ -22,14 +23,9 @@ use wnsk_text::Vocabulary;
 /// built around any `answer_*` call shows the whole stack's activity.
 pub struct WhyNotEngine {
     dataset: Dataset,
-    setr: SetRTree,
-    kcr: KcrTree,
+    /// Both trees over the whole dataset; its epoch is the engine's.
+    indexes: IndexPair,
     vocabulary: Option<Vocabulary>,
-    registry: Registry,
-    /// Monotonic dataset version: bumped once per applied mutation.
-    /// Caches stamp entries with the epoch they were computed under and
-    /// drop them when it moves.
-    epoch: u64,
     /// Durable mutation log, when attached. Without one, mutations are
     /// in-memory only.
     wal: Option<Wal>,
@@ -50,30 +46,17 @@ impl WhyNotEngine {
         fanout: usize,
         pool_config: BufferPoolConfig,
     ) -> Result<Self> {
-        let registry = Registry::new();
-        let setr_pool = Arc::new(BufferPool::new_registered(
-            Arc::new(MemBackend::new()),
+        // Tombstoned slots never enter the index.
+        let indexes = IndexPair::build(
+            dataset.live_objects(),
+            *dataset.world(),
+            fanout,
             pool_config,
-            &registry,
-            "setr.pool.",
-        ));
-        let kcr_pool = Arc::new(BufferPool::new_registered(
-            Arc::new(MemBackend::new()),
-            pool_config,
-            &registry,
-            "kcr.pool.",
-        ));
-        let mut setr = SetRTree::build(setr_pool, &dataset, fanout)?;
-        setr.register_metrics(&registry, "setr.");
-        let mut kcr = KcrTree::build(kcr_pool, &dataset, fanout)?;
-        kcr.register_metrics(&registry, "kcr.");
+        )?;
         Ok(WhyNotEngine {
             dataset,
-            setr,
-            kcr,
+            indexes,
             vocabulary: None,
-            registry,
-            epoch: 0,
             wal: None,
         })
     }
@@ -92,12 +75,12 @@ impl WhyNotEngine {
 
     /// The SetR-tree (used by BS / AdvancedBS).
     pub fn setr(&self) -> &SetRTree {
-        &self.setr
+        self.indexes.setr()
     }
 
     /// The KcR-tree (used by KcRBased).
     pub fn kcr(&self) -> &KcrTree {
-        &self.kcr
+        self.indexes.kcr()
     }
 
     /// The attached vocabulary, if any.
@@ -107,7 +90,7 @@ impl WhyNotEngine {
 
     /// The unified metrics registry every component reports into.
     pub fn registry(&self) -> &Registry {
-        &self.registry
+        self.indexes.registry()
     }
 
     /// Installs one tracer on both trees, so every solver run against
@@ -117,8 +100,7 @@ impl WhyNotEngine {
     /// to sample individual queries — the serving layer's slow-query
     /// log does exactly that.
     pub fn set_tracer(&mut self, tracer: wnsk_obs::Tracer) {
-        self.setr.set_tracer(tracer.clone());
-        self.kcr.set_tracer(tracer);
+        self.indexes.set_tracer(tracer);
     }
 
     /// The current dataset epoch: 0 at build, +1 per applied mutation
@@ -126,7 +108,7 @@ impl WhyNotEngine {
     /// answers, initial-rank hints — is valid only for the epoch it was
     /// computed under.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.indexes.epoch()
     }
 
     /// The attached write-ahead log, if any.
@@ -147,7 +129,7 @@ impl WhyNotEngine {
                 StorageError::invalid_argument("ingest", "a WAL is already attached").into(),
             );
         }
-        let registry = self.registry.clone();
+        let registry = self.registry().clone();
         let (mut wal, report) = Wal::recover(pool, |_lsn, kind, payload| {
             let m = Mutation::decode(kind, payload)?;
             self.apply(&m).map_err(|e| match e {
@@ -201,42 +183,7 @@ impl WhyNotEngine {
     /// [`WhyNotEngine::ingest`] and recovery share; calling it directly
     /// bypasses durability.
     pub fn apply(&mut self, m: &Mutation) -> Result<ObjectId> {
-        let id = match m {
-            Mutation::Insert { loc, doc } => {
-                let id = self.dataset.insert(*loc, doc.clone())?;
-                self.setr.insert(id, *loc, doc)?;
-                self.kcr.insert(id, *loc, doc)?;
-                id
-            }
-            Mutation::Remove { id } => {
-                self.require_live(*id)?;
-                let loc = self.dataset.object(*id).loc;
-                self.dataset.remove(*id)?;
-                self.setr.remove(*id, loc)?;
-                self.kcr.remove(*id, loc)?;
-                *id
-            }
-            Mutation::UpdateDoc { id, doc } => {
-                self.require_live(*id)?;
-                let loc = self.dataset.object(*id).loc;
-                self.dataset.update_doc(*id, doc.clone())?;
-                self.setr.update_doc(*id, loc, doc)?;
-                self.kcr.update_doc(*id, loc, doc)?;
-                *id
-            }
-        };
-        self.epoch += 1;
-        self.registry.counter(names::INGEST_APPLIED).inc();
-        Ok(id)
-    }
-
-    fn require_live(&self, id: ObjectId) -> Result<()> {
-        if !self.dataset.is_live(id) {
-            return Err(
-                StorageError::invalid_argument("ingest", format!("{id:?} is not live")).into(),
-            );
-        }
-        Ok(())
+        self.indexes.apply(&mut self.dataset, m)
     }
 
     /// Rejects a batch whose mutations cannot all apply, accounting for
@@ -279,7 +226,7 @@ impl WhyNotEngine {
     /// Captures the current value of every metric — take one before a
     /// query and pass it to [`WhyNotEngine::report`] afterwards.
     pub fn snapshot(&self) -> Snapshot {
-        self.registry.snapshot()
+        self.registry().snapshot()
     }
 
     /// Builds the unified per-query report: the answer's solver stats
@@ -314,8 +261,8 @@ impl WhyNotEngine {
     /// # Ok::<(), WhyNotError>(())
     /// ```
     pub fn report(&self, algorithm: &str, stats: &AlgoStats, before: &Snapshot) -> QueryReport {
-        stats.record_into(&self.registry);
-        let delta = self.registry.snapshot().since(before);
+        stats.record_into(self.registry());
+        let delta = self.registry().snapshot().since(before);
         let mut report = QueryReport::new(algorithm, stats.wall);
         for (name, elapsed) in stats.phases() {
             report.push_phase(name, elapsed);
@@ -326,13 +273,13 @@ impl WhyNotEngine {
 
     /// Runs a plain spatial keyword top-k query.
     pub fn top_k(&self, query: &SpatialKeywordQuery) -> Result<Vec<(ObjectId, f64)>> {
-        Ok(self.setr.top_k(query)?)
+        Ok(self.setr().top_k(query)?)
     }
 
     /// Answers a why-not question with the recommended solver
     /// (KcRBased with default options).
     pub fn answer(&self, question: &WhyNotQuestion) -> Result<WhyNotAnswer> {
-        answer_kcr(&self.dataset, &self.kcr, question, KcrOptions::default())
+        answer_kcr(&self.dataset, self.kcr(), question, KcrOptions::default())
     }
 
     /// Answers under a [`QueryBudget`](crate::QueryBudget): the
@@ -348,12 +295,12 @@ impl WhyNotEngine {
             budget,
             ..KcrOptions::default()
         };
-        answer_kcr(&self.dataset, &self.kcr, question, opts)
+        answer_kcr(&self.dataset, self.kcr(), question, opts)
     }
 
     /// Answers with the basic algorithm (BS).
     pub fn answer_basic(&self, question: &WhyNotQuestion) -> Result<WhyNotAnswer> {
-        answer_basic(&self.dataset, &self.setr, question)
+        answer_basic(&self.dataset, self.setr(), question)
     }
 
     /// Answers with AdvancedBS.
@@ -362,18 +309,24 @@ impl WhyNotEngine {
         question: &WhyNotQuestion,
         opts: AdvancedOptions,
     ) -> Result<WhyNotAnswer> {
-        answer_advanced(&self.dataset, &self.setr, question, opts)
+        answer_advanced(&self.dataset, self.setr(), question, opts)
     }
 
     /// Answers with KcRBased.
     pub fn answer_kcr(&self, question: &WhyNotQuestion, opts: KcrOptions) -> Result<WhyNotAnswer> {
-        answer_kcr(&self.dataset, &self.kcr, question, opts)
+        answer_kcr(&self.dataset, self.kcr(), question, opts)
     }
 
     /// Answers approximately: only the `t` highest-benefit candidates are
     /// considered (§VI-B), trading quality for time.
     pub fn answer_approx(&self, question: &WhyNotQuestion, t: usize) -> Result<WhyNotAnswer> {
-        answer_approx_kcr(&self.dataset, &self.kcr, question, KcrOptions::default(), t)
+        answer_approx_kcr(
+            &self.dataset,
+            self.kcr(),
+            question,
+            KcrOptions::default(),
+            t,
+        )
     }
 
     /// Renders a keyword set with the attached vocabulary (falls back to

@@ -27,8 +27,9 @@
 //!
 //! All three support multiple missing objects (§VI-A) and a
 //! sampling-based approximate mode (§VI-B). The [`WhyNotEngine`] facade
-//! bundles dataset + indexes for applications; the algorithm functions
-//! take the pieces explicitly for experiments.
+//! bundles a dataset with one [`IndexPair`] (SetR + KcR) for
+//! applications; the algorithm functions take the pieces explicitly for
+//! experiments.
 
 pub mod algorithms;
 mod budget;
@@ -36,6 +37,7 @@ mod engine;
 mod enumeration;
 mod error;
 pub mod extensions;
+mod index_pair;
 pub mod ingest;
 mod penalty;
 mod question;
@@ -45,6 +47,7 @@ pub use budget::{AnswerQuality, BudgetGuard, DegradeReason, QueryBudget};
 pub use engine::{WhyNotEngine, DEFAULT_FANOUT};
 pub use enumeration::{Candidate, CandidateEnumerator};
 pub use error::{Result, WhyNotError};
+pub use index_pair::IndexPair;
 pub use ingest::Mutation;
 pub use penalty::PenaltyModel;
 pub use question::{

@@ -2,7 +2,7 @@
 
 use super::node::{KcrInternalEntry, KcrLeafEntry, KcrNode};
 use super::{KcrTree, Meta, MAGIC};
-use crate::model::Dataset;
+use crate::model::SpatialObject;
 use crate::payload;
 use crate::str_pack;
 use std::sync::Arc;
@@ -19,7 +19,12 @@ struct BuiltNode {
     kcm: KeywordCountMap,
 }
 
-pub(super) fn build(pool: Arc<BufferPool>, dataset: &Dataset, fanout: usize) -> Result<KcrTree> {
+pub(super) fn build(
+    pool: Arc<BufferPool>,
+    objs: Vec<&SpatialObject>,
+    world: WorldBounds,
+    fanout: usize,
+) -> Result<KcrTree> {
     if fanout < 2 {
         return Err(StorageError::invalid_argument(
             "kcr build",
@@ -37,9 +42,6 @@ pub(super) fn build(pool: Arc<BufferPool>, dataset: &Dataset, fanout: usize) -> 
     debug_assert_eq!(meta_page, PageId(0));
 
     let blobs = BlobStore::new(Arc::clone(&pool));
-
-    // Tombstoned slots never enter the index (see the SetR build).
-    let objs: Vec<&crate::model::SpatialObject> = dataset.live_objects().collect();
 
     let doc_refs: Vec<BlobRef> = objs
         .iter()
@@ -127,7 +129,7 @@ pub(super) fn build(pool: Arc<BufferPool>, dataset: &Dataset, fanout: usize) -> 
         root_kcm,
         height: levels.len() as u32,
         n_objects: objs.len() as u64,
-        world: *dataset.world(),
+        world,
         fanout: fanout as u32,
     };
     write_meta(&pool, &meta)?;

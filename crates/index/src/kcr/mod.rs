@@ -67,13 +67,25 @@ pub struct KcrTree {
 }
 
 impl KcrTree {
-    /// Bulk-loads a KcR-tree over `dataset` into empty storage.
+    /// Bulk-loads a KcR-tree over the live objects of `dataset` into
+    /// empty storage (see [`crate::SetRTree::build`]).
     pub fn build(
         pool: Arc<BufferPool>,
         dataset: &crate::model::Dataset,
         fanout: usize,
     ) -> Result<Self> {
-        build::build(pool, dataset, fanout)
+        Self::build_from(pool, dataset.live_objects(), *dataset.world(), fanout)
+    }
+
+    /// Bulk-loads a KcR-tree over `objects` within `world` (see
+    /// [`crate::SetRTree::build_from`]).
+    pub fn build_from<'a>(
+        pool: Arc<BufferPool>,
+        objects: impl IntoIterator<Item = &'a crate::model::SpatialObject>,
+        world: WorldBounds,
+        fanout: usize,
+    ) -> Result<Self> {
+        build::build(pool, objects.into_iter().collect(), world, fanout)
     }
 
     /// Opens a previously built tree.

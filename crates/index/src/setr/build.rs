@@ -1,7 +1,7 @@
 //! STR bulk loading and meta-page persistence for the SetR-tree.
 
 use super::{Meta, SetRTree, MAGIC};
-use crate::model::Dataset;
+use crate::model::SpatialObject;
 use crate::payload;
 use crate::setr::node::{SetrInternalEntry, SetrLeafEntry, SetrNode};
 use crate::str_pack;
@@ -19,7 +19,12 @@ struct BuiltNode {
     intersection: KeywordSet,
 }
 
-pub(super) fn build(pool: Arc<BufferPool>, dataset: &Dataset, fanout: usize) -> Result<SetRTree> {
+pub(super) fn build(
+    pool: Arc<BufferPool>,
+    objs: Vec<&SpatialObject>,
+    world: WorldBounds,
+    fanout: usize,
+) -> Result<SetRTree> {
     if fanout < 2 {
         return Err(StorageError::invalid_argument(
             "setr build",
@@ -38,10 +43,6 @@ pub(super) fn build(pool: Arc<BufferPool>, dataset: &Dataset, fanout: usize) -> 
     debug_assert_eq!(meta_page, PageId(0));
 
     let blobs = BlobStore::new(Arc::clone(&pool));
-
-    // Tombstoned slots never enter the index: a rebuilt tree over a
-    // mutated dataset equals one built over the surviving objects.
-    let objs: Vec<&crate::model::SpatialObject> = dataset.live_objects().collect();
 
     // 1. Write every object's keyword set once.
     let doc_refs: Vec<BlobRef> = objs
@@ -132,7 +133,7 @@ pub(super) fn build(pool: Arc<BufferPool>, dataset: &Dataset, fanout: usize) -> 
         root: current[0].node,
         height: levels.len() as u32,
         n_objects: objs.len() as u64,
-        world: *dataset.world(),
+        world,
         fanout: fanout as u32,
     };
     write_meta(&pool, &meta)?;

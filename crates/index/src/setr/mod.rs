@@ -14,7 +14,7 @@ mod search;
 pub use node::{SetrInternalEntry, SetrLeafEntry, SetrNode};
 pub use search::{RankMode, RankOutcome, TopKSearch};
 
-use crate::model::Dataset;
+use crate::model::{Dataset, SpatialObject};
 use crate::payload;
 use crate::stats::TraversalStats;
 use std::sync::Arc;
@@ -48,10 +48,24 @@ pub struct SetRTree {
 }
 
 impl SetRTree {
-    /// Bulk-loads a SetR-tree over `dataset` into the storage behind
-    /// `pool` (which must be empty) using the given node `fanout`.
+    /// Bulk-loads a SetR-tree over the live objects of `dataset` into
+    /// the storage behind `pool` (which must be empty) using the given
+    /// node `fanout`. Tombstoned slots never enter the index: a rebuilt
+    /// tree over a mutated dataset equals one built over the survivors.
     pub fn build(pool: Arc<BufferPool>, dataset: &Dataset, fanout: usize) -> Result<Self> {
-        build::build(pool, dataset, fanout)
+        Self::build_from(pool, dataset.live_objects(), *dataset.world(), fanout)
+    }
+
+    /// Bulk-loads a SetR-tree over `objects`, keyed by their own ids and
+    /// scored within `world` — e.g. one shard's slice of a dataset. The
+    /// STR packing sees the objects in iteration order.
+    pub fn build_from<'a>(
+        pool: Arc<BufferPool>,
+        objects: impl IntoIterator<Item = &'a SpatialObject>,
+        world: WorldBounds,
+        fanout: usize,
+    ) -> Result<Self> {
+        build::build(pool, objects.into_iter().collect(), world, fanout)
     }
 
     /// Opens a previously built tree from its storage.

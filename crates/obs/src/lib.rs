@@ -205,8 +205,6 @@ pub mod names {
     /// Times the cross-shard penalty bound was actually lowered by a
     /// partial result streaming back from a shard.
     pub const SHARD_BOUND_TIGHTENINGS: &str = "shard.bound_tightenings";
-    /// Reads served by a non-primary replica of a hot shard.
-    pub const SHARD_REPLICA_HITS: &str = "shard.replica_hits";
 
     /// Every canonical name, for the docs/METRICS.md lint: the test in
     /// `tests/metrics_names.rs` fails when this list and the reference
@@ -267,6 +265,5 @@ pub mod names {
         SHARD_SCATTER,
         SHARD_MERGE_NS,
         SHARD_BOUND_TIGHTENINGS,
-        SHARD_REPLICA_HITS,
     ];
 }

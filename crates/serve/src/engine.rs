@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use wnsk_core::{KcrOptions, Mutation, QueryBudget, WhyNotAnswer, WhyNotEngine, WhyNotQuestion};
 use wnsk_index::{Dataset, ObjectId, SpatialKeywordQuery};
 use wnsk_obs::{names, Counter, FlightRecorder, Hist, JsonValue, Registry};
-use wnsk_shard::{Coordinator, ShardError};
+use wnsk_shard::Coordinator;
 use wnsk_text::{KeywordSet, Vocabulary};
 
 /// A request resolved against the dataset: keywords interned, ids
@@ -51,8 +51,8 @@ pub enum ResolvedRequest {
 /// What answers requests: one engine, or a scatter-gather coordinator
 /// over many. Both run the same solver and answer bit-identically (the
 /// shard determinism suite pins that), so every query path reads either
-/// through one [`ReadView`]; only ingest (routed, with per-shard
-/// shedding), `/healthz` (per-shard rows) and the typed accessors tell
+/// through one [`ReadView`]; only ingest (routed by partition key),
+/// `/healthz` (per-shard rows) and the typed accessors tell
 /// the two apart.
 enum Backend {
     Single(RwLock<WhyNotEngine>),
@@ -61,7 +61,7 @@ enum Backend {
 
 /// The backend-neutral read side every query path executes against.
 trait ReadView {
-    /// The live dataset (the coordinator's mirror in sharded mode).
+    /// The live dataset (in sharded mode, the coordinator's one dataset).
     fn dataset(&self) -> &Dataset;
     fn vocabulary(&self) -> Option<&Vocabulary>;
     /// The dataset epoch cache entries are stamped with.
@@ -191,7 +191,7 @@ impl ServeEngine {
         let obs = Observability::new(config, &self.registry);
         // Attach the (initially disabled) tracer so the slow-query log
         // can sample an explain tree when a request wins the trace slot;
-        // in sharded mode every shard copy records into it, so a sharded
+        // in sharded mode every shard's trees record into it, so a sharded
         // request files one tree.
         match &mut self.backend {
             Backend::Single(engine) => engine
@@ -532,10 +532,6 @@ impl ServeEngine {
                 let mut coord = coord.write().unwrap();
                 match coord.ingest(mutation) {
                     Ok(id) => protocol::render_ingest(kind, id.0, coord.epoch()),
-                    Err(ShardError::Shed { shard }) => {
-                        self.note_shed();
-                        protocol::render_shed(&format!("shard {shard} admission over capacity"))
-                    }
                     Err(e) => protocol::render_error(&e.to_string()),
                 }
             }
@@ -700,8 +696,8 @@ fn deleted_missing(view: &dyn ReadView, question: &WhyNotQuestion) -> Option<Str
 
 /// Resolves a wire request against a dataset + optional vocabulary —
 /// the core of [`ServeEngine::resolve`] (single mode hands in the
-/// engine's dataset, sharded mode the coordinator's mirror; both
-/// validate against exactly the same live set).
+/// engine's dataset, sharded mode the coordinator's; both validate
+/// against exactly the same live set).
 fn resolve_against(
     dataset: &Dataset,
     vocab: Option<&Vocabulary>,

@@ -1,19 +1,18 @@
-//! The scatter-gather coordinator: one [`WhyNotEngine`] per shard
-//! (plus optional read replicas), a full-corpus mirror dataset for
-//! penalty bookkeeping, and query paths proven bit-identical to the
-//! single-shard engine.
+//! The scatter-gather coordinator: one dataset, one [`IndexPair`]
+//! (SetR + KcR) per shard over its slice of that dataset, and query
+//! paths proven bit-identical to the single-shard engine.
 //!
 //! # Bit-identity argument
 //!
 //! Scoring is corpus-free — `ST(o, q)` depends only on the object, the
-//! query, and the *world bounds* — so a shard-local SetR-tree built
-//! over its slice with the shared world bounds produces exactly the
-//! float bits the global tree would for the same object. Three facts
-//! follow:
+//! query, and the *world bounds* — so a shard's SetR-tree built over its
+//! slice with the shared world bounds produces exactly the float bits
+//! the global tree would for the same object. Shard trees are keyed by
+//! the dataset's own (global) ids. Three facts follow:
 //!
 //! * **top-k**: any member of the global top-k is within its own
-//!   shard's local top-k (fewer than `k` objects precede it in the
-//!   total order `(score desc, id asc)` globally, hence also within the
+//!   shard's top-k (fewer than `k` objects precede it in the total
+//!   order `(score desc, id asc)` globally, hence also within the
 //!   shard), so merging per-shard top-k lists under the same total
 //!   order and truncating to `k` reproduces the global list bit for
 //!   bit.
@@ -29,8 +28,8 @@
 //!   the refined query is the same minimum (penalty, candidate sequence,
 //!   rank) for every shard count, scatter thread count, solver thread
 //!   count and kernel. Enumeration, penalty normalisers and the
-//!   degradation fallback read the mirror, which holds exactly the
-//!   single engine's dataset.
+//!   degradation fallback read the coordinator's dataset, which is
+//!   exactly the single engine's.
 //!
 //! Because it is the same solver, a sharded why-not honours the
 //! request's [`wnsk_core::QueryBudget`] (deadline and page-read cap,
@@ -41,32 +40,25 @@
 //!
 //! # Durability
 //!
-//! [`Coordinator::attach_wal_dir`] gives each shard primary its own
-//! WAL (`shard-<i>.wal`) plus a coordinator-level *route log*
-//! (`route.wal`) recording `(shard, global id, mutation)` for every
-//! accepted mutation — appended and committed *before* the shard
-//! ingest, so the route log is always a superset of every shard WAL.
-//! Recovery replays each shard WAL independently, then walks the route
-//! log in order: records a shard already applied (its recovered epoch
-//! covers them) only rebuild the mirror and id maps; records a crashed
-//! shard lost are re-ingested through its WAL. Losing one shard's WAL
-//! file therefore loses nothing: the route log re-drives that shard
-//! back to the exact global state.
+//! [`Coordinator::attach_wal_dir`] attaches one write-ahead log, the
+//! *route log* (`route.wal`), recording `(shard, global id, mutation)`
+//! for every accepted mutation; it is committed before the mutation is
+//! applied. Recovery replays it once, in order, through the same apply
+//! path live ingest takes, so the recovered coordinator holds exactly
+//! the state a never-crashed one would.
 
 use crate::partition::ShardManifest;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::path::Path;
 use std::time::Instant;
 use wnsk_core::{
-    answer_kcr_forest, KcrOptions, Mutation, WhyNotAnswer, WhyNotEngine, WhyNotError,
-    WhyNotQuestion,
+    answer_kcr_forest, IndexPair, KcrOptions, Mutation, WhyNotAnswer, WhyNotError, WhyNotQuestion,
 };
 use wnsk_exec::{ExecMetrics, Executor};
-use wnsk_index::{Dataset, KcrTree, ObjectId, SpatialKeywordQuery, SpatialObject};
+use wnsk_index::{Dataset, KcrTree, ObjectId, SpatialKeywordQuery};
 use wnsk_obs::{names, Counter, Hist, JsonValue, Registry};
-use wnsk_storage::{BufferPool, FileBackend, RecoveryReport, Wal};
+use wnsk_storage::{BufferPool, FileBackend, RecoveryReport, StorageError, Wal};
 use wnsk_text::Vocabulary;
 
 /// Errors surfaced by the coordinator.
@@ -74,11 +66,6 @@ use wnsk_text::Vocabulary;
 pub enum ShardError {
     /// An underlying engine error (solver, index, storage).
     Engine(WhyNotError),
-    /// A mutation was shed by the target shard's admission control.
-    Shed {
-        /// The shard that refused the mutation.
-        shard: usize,
-    },
     /// Configuration or manifest inconsistency.
     Config(String),
 }
@@ -87,7 +74,6 @@ impl fmt::Display for ShardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ShardError::Engine(e) => write!(f, "{e}"),
-            ShardError::Shed { shard } => write!(f, "shard {shard} admission: over capacity"),
             ShardError::Config(msg) => write!(f, "{msg}"),
         }
     }
@@ -99,8 +85,8 @@ impl From<WhyNotError> for ShardError {
     }
 }
 
-impl From<wnsk_storage::StorageError> for ShardError {
-    fn from(e: wnsk_storage::StorageError) -> Self {
+impl From<StorageError> for ShardError {
+    fn from(e: StorageError) -> Self {
         ShardError::Engine(e.into())
     }
 }
@@ -111,20 +97,12 @@ pub type Result<T> = std::result::Result<T, ShardError>;
 /// Construction knobs for [`Coordinator::new`].
 #[derive(Clone, Debug)]
 pub struct CoordinatorConfig {
-    /// Copies of every shard, including the primary (1 = no replicas).
-    /// Replicas are read-only fan-out targets behind the same
-    /// epoch-stamped invalidation; writes go to every copy.
-    pub replicas: usize,
     /// Threads a query fans out over across shards (1 = sequential): the
     /// top-k scatter workers, and the least number of solver workers a
     /// why-not runs with (`KcrOptions::threads` may ask for more).
     /// Purely a wall-time knob: answers are bit-identical for every
     /// value.
     pub threads: usize,
-    /// Per-shard in-flight mutation cap; a routed mutation arriving
-    /// while the target shard already holds `cap` in flight is shed
-    /// (`ShardError::Shed`). `None` disables shedding.
-    pub admission_cap: Option<u64>,
     /// Index fanout for the per-shard trees.
     pub fanout: usize,
 }
@@ -132,27 +110,10 @@ pub struct CoordinatorConfig {
 impl Default for CoordinatorConfig {
     fn default() -> Self {
         CoordinatorConfig {
-            replicas: 1,
             threads: 1,
-            admission_cap: None,
             fanout: wnsk_core::DEFAULT_FANOUT,
         }
     }
-}
-
-/// One shard: a primary engine, optional read replicas, the local→
-/// global id map, and admission state.
-struct Shard {
-    primary: WhyNotEngine,
-    replicas: Vec<WhyNotEngine>,
-    /// Local slot id → global slot id (dense, includes tombstones).
-    global_of_local: Vec<ObjectId>,
-    /// Read fan-out cursor (primary + replicas, round-robin).
-    rr: AtomicUsize,
-    /// Mutations currently in flight against this shard.
-    inflight: AtomicU64,
-    /// Mutations shed by this shard's admission control.
-    shed: AtomicU64,
 }
 
 /// A point-in-time view of one shard, for `/healthz` and `wnsk top`.
@@ -160,20 +121,10 @@ struct Shard {
 pub struct ShardStatus {
     /// Shard index.
     pub shard: usize,
-    /// Total copies (primary + read replicas).
-    pub replicas: usize,
     /// Live objects on the shard.
     pub objects: usize,
-    /// The shard primary's dataset epoch (mutations applied).
+    /// Mutations applied to the shard.
     pub epoch: u64,
-    /// Mutations currently in flight (the per-shard queue depth).
-    pub inflight: u64,
-    /// The admission cap, when shedding is enabled.
-    pub admission_cap: Option<u64>,
-    /// Mutations shed by admission control.
-    pub shed: u64,
-    /// Last LSN of the shard's WAL (0 when none is attached).
-    pub wal_lsn: u64,
 }
 
 impl ShardStatus {
@@ -181,64 +132,39 @@ impl ShardStatus {
     pub fn to_json(&self) -> JsonValue {
         JsonValue::object(vec![
             ("shard", JsonValue::from(self.shard)),
-            ("replicas", JsonValue::from(self.replicas)),
             ("objects", JsonValue::from(self.objects)),
             ("epoch", JsonValue::from(self.epoch)),
-            ("inflight", JsonValue::from(self.inflight)),
-            (
-                "admission_cap",
-                match self.admission_cap {
-                    Some(cap) => JsonValue::from(cap),
-                    None => JsonValue::Null,
-                },
-            ),
-            ("shed", JsonValue::from(self.shed)),
-            ("wal_lsn", JsonValue::from(self.wal_lsn)),
         ])
     }
-}
-
-/// What [`Coordinator::attach_wal_dir`] recovered.
-#[derive(Debug, Default)]
-pub struct ShardRecovery {
-    /// Per-shard WAL recovery reports, in shard order.
-    pub shards: Vec<RecoveryReport>,
-    /// Committed records found in the route log.
-    pub route_records: u64,
-    /// Route records re-ingested into shards whose own WAL had lost
-    /// them (nonzero after a shard-level crash).
-    pub redone: u64,
 }
 
 /// The scatter-gather coordinator over a keyword-aware partition.
 pub struct Coordinator {
     manifest: ShardManifest,
     term_routes: BTreeMap<u32, usize>,
-    shards: Vec<Shard>,
-    /// Full-corpus mirror (no indexes): drives enumeration benefits,
-    /// penalty normalisers, the degradation fallback and liveness checks
-    /// with exactly the state a single engine would hold.
-    mirror: Dataset,
-    /// Global slot id → (shard, local slot id).
-    locate: Vec<(u32, u32)>,
+    /// The corpus, stored once: enumeration benefits, penalty
+    /// normalisers, the degradation fallback and liveness checks read
+    /// exactly the state a single engine would hold.
+    dataset: Dataset,
+    /// One index pair per shard, keyed by `dataset` ids.
+    shards: Vec<IndexPair>,
+    /// Dataset id → the shard whose trees index it.
+    shard_of: Vec<u32>,
     threads: usize,
-    admission_cap: Option<u64>,
-    epoch: u64,
-    route_wal: Option<Wal>,
-    wal_dir: Option<PathBuf>,
+    /// The route log, when a WAL directory is attached.
+    wal: Option<Wal>,
     vocabulary: Option<Vocabulary>,
     registry: Registry,
     scatter_count: Counter,
     merge_ns: Hist,
     tightenings: Counter,
-    replica_hits: Counter,
 }
 
 impl Coordinator {
-    /// Builds one engine (plus replicas) per manifest shard over the
-    /// partition of `dataset`. Every shard dataset shares the global
-    /// world bounds, so shard-local scores are bit-identical to global
-    /// ones; `dataset` itself is retained as the coordinator's mirror.
+    /// Builds one index pair per manifest shard over its slice of
+    /// `dataset`, which the coordinator keeps as its one dataset. Every
+    /// shard's trees share the dataset's world bounds, so shard scores
+    /// are bit-identical to global ones.
     pub fn new(
         dataset: Dataset,
         manifest: ShardManifest,
@@ -254,68 +180,53 @@ impl Coordinator {
                 dataset.len()
             )));
         }
-        let world = *dataset.world();
-        let mut locate = vec![(u32::MAX, u32::MAX); dataset.len()];
-        let mut shards = Vec::with_capacity(manifest.shard_count());
+        let mut shard_of = vec![u32::MAX; dataset.len()];
         for (s, spec) in manifest.shards.iter().enumerate() {
-            let mut global_of_local = Vec::with_capacity(spec.object_count());
-            let mut objects: Vec<SpatialObject> = Vec::with_capacity(spec.object_count());
             for gid in spec.ids() {
-                if (gid as usize) >= dataset.len() || locate[gid as usize].0 != u32::MAX {
-                    return Err(ShardError::Config(format!(
-                        "manifest assigns object {gid} out of range or twice"
-                    )));
+                match shard_of.get_mut(gid as usize) {
+                    Some(slot) if *slot == u32::MAX => *slot = s as u32,
+                    _ => {
+                        return Err(ShardError::Config(format!(
+                            "manifest assigns object {gid} out of range or twice"
+                        )))
+                    }
                 }
-                locate[gid as usize] = (s as u32, global_of_local.len() as u32);
-                global_of_local.push(ObjectId(gid));
-                objects.push(dataset.object(ObjectId(gid)).clone());
             }
-            let local = Dataset::new(objects, world);
-            let primary = WhyNotEngine::build_with(
-                local.clone(),
-                config.fanout,
-                wnsk_storage::BufferPoolConfig::default(),
-            )?;
-            let replicas = (1..config.replicas.max(1))
-                .map(|_| {
-                    WhyNotEngine::build_with(
-                        local.clone(),
-                        config.fanout,
-                        wnsk_storage::BufferPoolConfig::default(),
-                    )
-                })
-                .collect::<std::result::Result<Vec<_>, _>>()?;
-            shards.push(Shard {
-                primary,
-                replicas,
-                global_of_local,
-                rr: AtomicUsize::new(0),
-                inflight: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
-            });
         }
+        let shards = manifest
+            .shards
+            .iter()
+            .map(|spec| {
+                let slice = spec
+                    .ids()
+                    .map(ObjectId)
+                    .filter(|&id| dataset.is_live(id))
+                    .map(|id| dataset.object(id));
+                IndexPair::build(
+                    slice,
+                    *dataset.world(),
+                    config.fanout,
+                    wnsk_storage::BufferPoolConfig::default(),
+                )
+            })
+            .collect::<std::result::Result<Vec<_>, _>>()?;
         let registry = Registry::new();
         let scatter_count = registry.counter(names::SHARD_SCATTER);
         let merge_ns = registry.hist(names::SHARD_MERGE_NS);
         let tightenings = registry.counter(names::SHARD_BOUND_TIGHTENINGS);
-        let replica_hits = registry.counter(names::SHARD_REPLICA_HITS);
         Ok(Coordinator {
             term_routes: manifest.term_routes(),
             manifest,
+            dataset,
             shards,
-            mirror: dataset,
-            locate,
+            shard_of,
             threads: config.threads.max(1),
-            admission_cap: config.admission_cap,
-            epoch: 0,
-            route_wal: None,
-            wal_dir: None,
+            wal: None,
             vocabulary: None,
             registry,
             scatter_count,
             merge_ns,
             tightenings,
-            replica_hits,
         })
     }
 
@@ -330,14 +241,12 @@ impl Coordinator {
         self.vocabulary.as_ref()
     }
 
-    /// Installs one tracer on every shard copy (primaries and replicas),
-    /// so a traced query records one span tree whichever copies it
-    /// reads — see [`WhyNotEngine::set_tracer`].
+    /// Installs one tracer on every shard's trees, so a traced query
+    /// records one span tree whichever shards it reads — see
+    /// [`wnsk_core::WhyNotEngine::set_tracer`].
     pub fn set_tracer(&mut self, tracer: wnsk_obs::Tracer) {
         for shard in &mut self.shards {
-            for engine in std::iter::once(&mut shard.primary).chain(&mut shard.replicas) {
-                engine.set_tracer(tracer.clone());
-            }
+            shard.set_tracer(tracer.clone());
         }
     }
 
@@ -351,43 +260,33 @@ impl Coordinator {
         self.shards.len()
     }
 
-    /// The coordinator's view of the full corpus (the mirror dataset).
+    /// The full corpus (every shard indexes a slice of it).
     pub fn dataset(&self) -> &Dataset {
-        &self.mirror
+        &self.dataset
     }
 
-    /// The coordinator metrics registry (`shard.*`; the serving layer
-    /// adds its `serve.*` handles here too).
+    /// The coordinator metrics registry (`shard.*`, `wal.*`; the serving
+    /// layer adds its `serve.*` handles here too).
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
 
-    /// Shard `s`'s primary engine (per-shard admin planes scrape its
-    /// registry; tests inspect it).
-    pub fn shard_engine(&self, s: usize) -> &WhyNotEngine {
-        &self.shards[s].primary
-    }
-
-    /// A clone (shared handles) of shard `s`'s primary registry.
+    /// A clone (shared handles) of shard `s`'s registry: its pools,
+    /// traversals and `ingest.applied` (per-shard admin planes scrape it).
     pub fn shard_registry(&self, s: usize) -> Registry {
-        self.shards[s].primary.registry().clone()
+        self.shards[s].registry().clone()
     }
 
-    /// Global dataset epoch: mutations applied through the coordinator
-    /// (equals the sum of shard epochs and the epoch a single engine
-    /// fed the same stream would report).
+    /// Dataset epoch: mutations applied through the coordinator (the sum
+    /// of shard epochs, and the epoch a single engine fed the same
+    /// stream would report).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.shards.iter().map(IndexPair::epoch).sum()
     }
 
-    /// Whether the durable plane (route log + shard WALs) is attached.
+    /// Whether the route log is attached.
     pub fn wal_attached(&self) -> bool {
-        self.route_wal.is_some()
-    }
-
-    /// The WAL directory, when attached.
-    pub fn wal_dir(&self) -> Option<&Path> {
-        self.wal_dir.as_deref()
+        self.wal.is_some()
     }
 
     /// Point-in-time per-shard status rows.
@@ -397,13 +296,8 @@ impl Coordinator {
             .enumerate()
             .map(|(s, shard)| ShardStatus {
                 shard: s,
-                replicas: 1 + shard.replicas.len(),
-                objects: shard.primary.dataset().live_len(),
-                epoch: shard.primary.epoch(),
-                inflight: shard.inflight.load(Ordering::Relaxed),
-                admission_cap: self.admission_cap,
-                shed: shard.shed.load(Ordering::Relaxed),
-                wal_lsn: shard.primary.wal().map(Wal::last_lsn).unwrap_or(0),
+                objects: shard.kcr().len() as usize,
+                epoch: shard.epoch(),
             })
             .collect()
     }
@@ -422,242 +316,116 @@ impl Coordinator {
     // Durability
     // ------------------------------------------------------------------
 
-    /// Attaches the durable plane under `dir`: one `shard-<i>.wal` per
-    /// shard primary plus the coordinator `route.wal`, replaying all of
-    /// them (see the module docs for the recovery protocol). Call on a
-    /// freshly built coordinator, before any ingest.
-    pub fn attach_wal_dir(&mut self, dir: &Path) -> Result<ShardRecovery> {
-        if self.route_wal.is_some() {
+    /// Attaches the route log `route.wal` under `dir` (created if
+    /// missing), first replaying every committed record through the live
+    /// apply path. A torn or corrupt tail is truncated. Call on a freshly
+    /// built coordinator, before any ingest. Other files in `dir` are
+    /// ignored.
+    pub fn attach_wal_dir(&mut self, dir: &Path) -> Result<RecoveryReport> {
+        if self.wal.is_some() {
             return Err(ShardError::Config(
                 "a WAL directory is already attached".into(),
             ));
         }
-        if self.epoch != 0 {
+        if self.epoch() != 0 {
             return Err(ShardError::Config(
                 "attach_wal_dir must run before any ingest".into(),
             ));
         }
         std::fs::create_dir_all(dir)
             .map_err(|e| ShardError::Config(format!("{}: {e}", dir.display())))?;
-        let mut recovery = ShardRecovery::default();
-        // Phase 1: every shard recovers its own WAL independently.
-        let mut shard_epochs = Vec::with_capacity(self.shards.len());
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            let path = dir.join(format!("shard-{s}.wal"));
-            let pool = open_pool(&path)?;
-            let report = shard.primary.attach_wal(pool)?;
-            shard_epochs.push(shard.primary.epoch());
-            recovery.shards.push(report);
-        }
-        // Phase 2: read the route log.
-        let route_path = dir.join("route.wal");
-        let route_pool = open_pool(&route_path)?;
-        let mut records: Vec<(usize, u32, Mutation)> = Vec::new();
-        let (wal, _report) = Wal::recover(route_pool, |_lsn, kind, payload| {
-            let (shard, gid, m) = decode_route(kind, payload)?;
-            records.push((shard, gid, m));
-            Ok(())
-        })?;
-        recovery.route_records = records.len() as u64;
-        // Phase 3: replay the route log in order. `applied[s]` counts
-        // route records targeting shard s; the first `shard_epochs[s]`
-        // of them were already re-applied by the shard's own WAL.
-        let mut applied = vec![0u64; self.shards.len()];
-        for (s, gid, m) in records {
-            if s >= self.shards.len() {
-                return Err(ShardError::Config(format!(
-                    "route log references shard {s} of {}",
-                    self.shards.len()
-                )));
-            }
-            let local_m = self.localize(s, gid, &m)?;
-            applied[s] += 1;
-            let redo = applied[s] > shard_epochs[s];
-            if redo {
-                recovery.redone += 1;
-                self.shards[s].primary.ingest(&local_m)?;
-            }
-            for replica in &mut self.shards[s].replicas {
-                replica.apply(&local_m)?;
-            }
-            self.apply_to_mirror(s, gid, &m)?;
-        }
-        for (s, shard_epoch) in shard_epochs.iter().enumerate() {
-            if *shard_epoch > applied[s] {
-                return Err(ShardError::Config(format!(
-                    "shard {s} WAL holds {shard_epoch} mutations but the route log only {} — \
-                     route log must be committed first",
-                    applied[s]
-                )));
-            }
-        }
-        self.route_wal = Some(wal);
-        self.wal_dir = Some(dir.to_path_buf());
-        Ok(recovery)
-    }
-
-    /// Rewrites a global-form mutation into shard `s`'s local id space.
-    fn localize(&self, s: usize, gid: u32, m: &Mutation) -> Result<Mutation> {
-        Ok(match m {
-            Mutation::Insert { loc, doc } => Mutation::Insert {
-                loc: *loc,
-                doc: doc.clone(),
-            },
-            Mutation::Remove { .. } => Mutation::Remove {
-                id: self.local_id(s, gid)?,
-            },
-            Mutation::UpdateDoc { doc, .. } => Mutation::UpdateDoc {
-                id: self.local_id(s, gid)?,
-                doc: doc.clone(),
-            },
-        })
-    }
-
-    fn local_id(&self, s: usize, gid: u32) -> Result<ObjectId> {
-        let &(shard, local) = self
-            .locate
-            .get(gid as usize)
-            .ok_or_else(|| ShardError::Config(format!("unknown global id {gid}")))?;
-        if shard as usize != s {
-            return Err(ShardError::Config(format!(
-                "global id {gid} lives on shard {shard}, not {s}"
-            )));
-        }
-        Ok(ObjectId(local))
-    }
-
-    /// Applies a global-form mutation to the mirror and maintains the
-    /// id maps. The local slot for an insert is the shard's current
-    /// slot count: `global_of_local` is dense over every slot the shard
-    /// ever assigned (tombstones included), so its length *is* the next
-    /// local id — during live ingest and route-log replay alike (the
-    /// shard's own WAL replay may run ahead of the route walk, but it
-    /// never touches `global_of_local`).
-    fn apply_to_mirror(&mut self, s: usize, gid: u32, m: &Mutation) -> Result<()> {
-        match m {
-            Mutation::Insert { loc, doc } => {
-                let assigned = self.mirror.insert(*loc, doc.clone())?;
-                if assigned.0 != gid {
-                    return Err(ShardError::Config(format!(
-                        "route log expects global id {gid}, mirror assigned {}",
-                        assigned.0
-                    )));
-                }
-                let local = self.shards[s].global_of_local.len() as u32;
-                self.shards[s].global_of_local.push(ObjectId(gid));
-                self.locate.push((s as u32, local));
-            }
-            Mutation::Remove { .. } => {
-                self.mirror.remove(ObjectId(gid))?;
-            }
-            Mutation::UpdateDoc { doc, .. } => {
-                self.mirror.update_doc(ObjectId(gid), doc.clone())?;
-            }
-        }
-        self.epoch += 1;
-        Ok(())
+        let (mut wal, report) =
+            Wal::recover(open_pool(&dir.join("route.wal"))?, |_, kind, payload| {
+                let (s, gid, m) = decode_route(kind, payload)?;
+                self.apply_routed(s, gid, &m).map_err(|e| match e {
+                    ShardError::Engine(WhyNotError::Storage(s)) => s,
+                    other => StorageError::corrupt("route log replay", other.to_string()),
+                })?;
+                Ok(())
+            })?;
+        wal.register_metrics(&self.registry);
+        self.registry
+            .counter(names::WAL_RECOVERED_RECORDS)
+            .add(report.records_replayed);
+        self.registry
+            .counter(names::WAL_TRUNCATED_BYTES)
+            .add(report.bytes_truncated);
+        self.wal = Some(wal);
+        Ok(report)
     }
 
     // ------------------------------------------------------------------
     // Mutations
     // ------------------------------------------------------------------
 
-    /// Routes one mutation to its shard and applies it everywhere:
-    /// route log first (when attached), then the shard primary (and its
-    /// WAL), then every replica, then the mirror. Returns the *global*
-    /// id of the affected object.
+    /// Routes one mutation to its shard, commits it to the route log
+    /// (when attached), and applies it to the dataset and that shard's
+    /// trees. Returns the id of the affected object.
     pub fn ingest(&mut self, m: &Mutation) -> Result<ObjectId> {
-        // Resolve the target shard and global id up front, so nothing
-        // is partially applied on a routing error.
+        // Resolve the target shard and id up front, so the log never
+        // records a mutation that cannot apply.
         let (s, gid) = match m {
             Mutation::Insert { loc, doc } => {
-                if !self.mirror.world().rect().contains_point(loc) {
-                    return Err(ShardError::Engine(
-                        wnsk_storage::StorageError::invalid_argument(
-                            "ingest",
-                            format!("location {loc:?} lies outside the world bounds"),
-                        )
-                        .into(),
-                    ));
+                if !self.dataset.world().rect().contains_point(loc) {
+                    return Err(StorageError::invalid_argument(
+                        "ingest",
+                        format!("location {loc:?} lies outside the world bounds"),
+                    )
+                    .into());
                 }
                 let s =
                     self.manifest
-                        .route_insert(doc, loc, self.mirror.world(), &self.term_routes);
-                (s, self.mirror.len() as u32)
+                        .route_insert(doc, loc, self.dataset.world(), &self.term_routes);
+                (s, self.dataset.len() as u32)
             }
             Mutation::Remove { id } | Mutation::UpdateDoc { id, .. } => {
-                if !self.mirror.is_live(*id) {
-                    return Err(ShardError::Engine(
-                        wnsk_storage::StorageError::invalid_argument(
-                            "ingest",
-                            format!("{id:?} is not live"),
-                        )
-                        .into(),
-                    ));
+                if !self.dataset.is_live(*id) {
+                    return Err(StorageError::invalid_argument(
+                        "ingest",
+                        format!("{id:?} is not live"),
+                    )
+                    .into());
                 }
-                (self.locate[id.0 as usize].0 as usize, id.0)
+                (self.shard_of[id.index()] as usize, id.0)
             }
         };
-        // Per-shard admission: an instantaneous in-flight gauge against
-        // the cap. Queries are never shed (that would break
-        // bit-identity); only routed mutations are.
-        let inflight = self.shards[s].inflight.fetch_add(1, Ordering::Relaxed);
-        if let Some(cap) = self.admission_cap {
-            if inflight >= cap {
-                self.shards[s].inflight.fetch_sub(1, Ordering::Relaxed);
-                self.shards[s].shed.fetch_add(1, Ordering::Relaxed);
-                return Err(ShardError::Shed { shard: s });
-            }
-        }
-        let result = self.ingest_routed(s, gid, m);
-        self.shards[s].inflight.fetch_sub(1, Ordering::Relaxed);
-        result
-    }
-
-    fn ingest_routed(&mut self, s: usize, gid: u32, m: &Mutation) -> Result<ObjectId> {
-        // Route log strictly before the shard ingest: recovery relies on
-        // the route log covering every shard WAL record.
-        if let Some(wal) = self.route_wal.as_mut() {
+        if let Some(wal) = self.wal.as_mut() {
             wal.append(m.kind(), &encode_route(s, gid, m))?;
             wal.commit()?;
         }
-        let local_m = self.localize(s, gid, m)?;
-        let local_id = self.shards[s].primary.ingest(&local_m)?;
-        for replica in &mut self.shards[s].replicas {
-            replica.apply(&local_m)?;
+        self.apply_routed(s, gid, m)
+    }
+
+    /// Applies `m`, routed to shard `s` under dataset id `gid`, to the
+    /// dataset and the shard's trees — the one path live ingest and
+    /// route-log replay share. Refuses a route that disagrees with the
+    /// coordinator's state (a log written over another dataset or plan).
+    fn apply_routed(&mut self, s: usize, gid: u32, m: &Mutation) -> Result<ObjectId> {
+        let routed = s < self.shards.len()
+            && match m {
+                Mutation::Insert { .. } => gid as usize == self.dataset.len(),
+                Mutation::Remove { id } | Mutation::UpdateDoc { id, .. } => {
+                    id.0 == gid && self.shard_of.get(gid as usize) == Some(&(s as u32))
+                }
+            };
+        if !routed {
+            return Err(ShardError::Config(format!(
+                "route (shard {s}, id {gid}) does not match the coordinator's {} shards \
+                 and {} objects",
+                self.shards.len(),
+                self.dataset.len()
+            )));
         }
-        self.apply_to_mirror(s, gid, m)?;
+        let id = self.shards[s].apply(&mut self.dataset, m)?;
         if matches!(m, Mutation::Insert { .. }) {
-            debug_assert_eq!(
-                self.locate[gid as usize],
-                (s as u32, local_id.0),
-                "local slot reconstruction must match the shard's dense assignment"
-            );
+            self.shard_of.push(s as u32);
         }
-        Ok(ObjectId(gid))
+        Ok(id)
     }
 
     // ------------------------------------------------------------------
     // Queries
     // ------------------------------------------------------------------
-
-    /// Picks the read engine for shard `s`: primary when unreplicated,
-    /// round-robin over primary + replicas otherwise (replica reads
-    /// count into `shard.replica_hits`).
-    fn read_engine(&self, s: usize) -> &WhyNotEngine {
-        let shard = &self.shards[s];
-        let copies = 1 + shard.replicas.len();
-        if copies == 1 {
-            return &shard.primary;
-        }
-        let i = shard.rr.fetch_add(1, Ordering::Relaxed) % copies;
-        if i == 0 {
-            &shard.primary
-        } else {
-            self.replica_hits.inc();
-            &shard.replicas[i - 1]
-        }
-    }
 
     /// Scatters `f` to every shard on the coordinator's thread pool and
     /// gathers the results in shard order (a sequence barrier: results
@@ -666,13 +434,15 @@ impl Coordinator {
     fn scatter<R, F>(&self, f: F) -> Result<Vec<R>>
     where
         R: Send,
-        F: Fn(usize, &WhyNotEngine) -> std::result::Result<R, WhyNotError> + Sync,
+        F: Fn(&IndexPair) -> std::result::Result<R, WhyNotError> + Sync,
     {
         self.scatter_count.inc();
         let n = self.shards.len();
         if self.threads <= 1 || n == 1 {
-            return (0..n)
-                .map(|s| f(s, self.read_engine(s)).map_err(ShardError::Engine))
+            return self
+                .shards
+                .iter()
+                .map(|shard| f(shard).map_err(ShardError::Engine))
                 .collect();
         }
         let exec = Executor::new(self.threads.min(n));
@@ -684,7 +454,7 @@ impl Coordinator {
                 || false,
                 |_| Vec::new(),
                 |state: &mut Vec<(usize, R)>, s, _h| -> std::result::Result<(), WhyNotError> {
-                    let r = f(s, self.read_engine(s))?;
+                    let r = f(&self.shards[s])?;
                     state.push((s, r));
                     Ok(())
                 },
@@ -700,19 +470,11 @@ impl Coordinator {
         Ok(merged.into_iter().map(|(_, r)| r).collect())
     }
 
-    /// Scatter-gather top-k: per-shard top-k lists (local ids mapped
-    /// back to global), merged under the engine's total order
-    /// `(score desc, id asc)` and truncated to `k`. Bit-identical to
-    /// the single-engine list.
+    /// Scatter-gather top-k: per-shard top-k lists merged under the
+    /// engine's total order `(score desc, id asc)` and truncated to `k`.
+    /// Bit-identical to the single-engine list.
     pub fn top_k(&self, query: &SpatialKeywordQuery) -> Result<Vec<(ObjectId, f64)>> {
-        let per_shard = self.scatter(|s, engine| {
-            let hits = engine.top_k(query)?;
-            let map = &self.shards[s].global_of_local;
-            Ok(hits
-                .into_iter()
-                .map(|(local, score)| (map[local.0 as usize], score))
-                .collect::<Vec<(ObjectId, f64)>>())
-        })?;
+        let per_shard = self.scatter(|shard| Ok(shard.setr().top_k(query)?))?;
         let merge_start = Instant::now();
         let mut all: Vec<(ObjectId, f64)> = per_shard.into_iter().flatten().collect();
         all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
@@ -722,27 +484,24 @@ impl Coordinator {
     }
 
     /// Answers a why-not question with KcRBased over the forest of shard
-    /// KcR-trees (each shard's round-robin read copy), the mirror
-    /// standing in for the dataset — the single engine's
-    /// [`WhyNotEngine::answer_kcr`], options and all: budgets degrade
-    /// the answer and a rank hint skips the initial-rank phase. The
-    /// traversal fans out over `opts.threads` workers, but never fewer
-    /// than the coordinator's own `threads`: a why-not spreads across
-    /// the shards as a top-k scatter does.
+    /// KcR-trees, the coordinator's dataset standing in for the engine's
+    /// — the single engine's [`wnsk_core::WhyNotEngine::answer_kcr`],
+    /// options and all: budgets degrade the answer and a rank hint skips
+    /// the initial-rank phase. The traversal fans out over `opts.threads`
+    /// workers, but never fewer than the coordinator's own `threads`: a
+    /// why-not spreads across the shards as a top-k scatter does.
     pub fn answer_kcr(
         &self,
         question: &WhyNotQuestion,
         opts: KcrOptions,
     ) -> wnsk_core::Result<WhyNotAnswer> {
         self.scatter_count.inc();
-        let forest: Vec<&KcrTree> = (0..self.shards.len())
-            .map(|s| self.read_engine(s).kcr())
-            .collect();
+        let forest: Vec<&KcrTree> = self.shards.iter().map(IndexPair::kcr).collect();
         let opts = KcrOptions {
             threads: opts.threads.max(self.threads),
             ..opts
         };
-        let answer = answer_kcr_forest(&self.mirror, &forest, question, opts)?;
+        let answer = answer_kcr_forest(&self.dataset, &forest, question, opts)?;
         self.tightenings.add(answer.stats.bound_refreshes);
         Ok(answer)
     }
@@ -772,7 +531,7 @@ fn encode_route(shard: usize, gid: u32, m: &Mutation) -> Vec<u8> {
 
 fn decode_route(kind: u8, payload: &[u8]) -> wnsk_storage::Result<(usize, u32, Mutation)> {
     if payload.len() < 8 {
-        return Err(wnsk_storage::StorageError::corrupt(
+        return Err(StorageError::corrupt(
             "route log",
             "record shorter than its header",
         ));
@@ -780,6 +539,6 @@ fn decode_route(kind: u8, payload: &[u8]) -> wnsk_storage::Result<(usize, u32, M
     let shard = u32::from_le_bytes(payload[0..4].try_into().unwrap()) as usize;
     let gid = u32::from_le_bytes(payload[4..8].try_into().unwrap());
     let m = Mutation::decode(kind, &payload[8..])
-        .map_err(|e| wnsk_storage::StorageError::corrupt("route log", e.to_string()))?;
+        .map_err(|e| StorageError::corrupt("route log", e.to_string()))?;
     Ok((shard, gid, m))
 }

@@ -8,20 +8,18 @@
 //!   tie-shuffles, and the result is an explicit, reproducible
 //!   [`ShardManifest`] (object-id runs + vocab slices + insert routes)
 //!   that round-trips through JSON and is written atomically.
-//! * [`coordinator`] — one [`wnsk_core::WhyNotEngine`] per shard (plus
-//!   optional read replicas) behind a [`Coordinator`] that scatters
-//!   top-k across shards on a shared executor pool and answers why-nots
-//!   with the engine's own KcRBased solver run over the forest of shard
-//!   KcR-trees — results **bit-identical** to a single-shard engine
-//!   (same penalty bits, same rank lists, same refined queries) for
-//!   every shard count and thread count. Mutations route by partition key
-//!   through per-shard WALs plus a coordinator route log, so shards
-//!   crash-recover independently.
+//! * [`coordinator`] — a [`Coordinator`] that keeps the one dataset
+//!   and, per shard, only a SetR/KcR [`wnsk_core::IndexPair`] over its
+//!   slice. It scatters top-k across shards on a shared executor pool and
+//!   answers why-nots with the engine's own KcRBased solver run over the
+//!   forest of shard KcR-trees — results **bit-identical** to a
+//!   single-shard engine (same penalty bits, same rank lists, same
+//!   refined queries) for every shard count and thread count. Mutations
+//!   route by partition key and, when durable, go through one route log
+//!   that recovery replays.
 
 pub mod coordinator;
 pub mod partition;
 
-pub use coordinator::{
-    Coordinator, CoordinatorConfig, Result, ShardError, ShardRecovery, ShardStatus,
-};
+pub use coordinator::{Coordinator, CoordinatorConfig, Result, ShardError, ShardStatus};
 pub use partition::{ShardManifest, ShardSpec};

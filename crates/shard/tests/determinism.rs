@@ -3,20 +3,21 @@
 //! over the shard forest at t ∈ {1, 2, 4} solver threads — must equal
 //! the single-shard engine's answers *exactly* — rank lists bit for bit,
 //! refined queries field for field, penalties by their `f64` bit
-//! patterns — including under a churn script, after crash-recovering
-//! one shard from the coordinator route log, and when a spent budget
-//! degrades the answer.
+//! patterns — including under a churn script, after recovering from the
+//! coordinator's route log (clean, torn, or written beside the per-shard
+//! WALs of an older layout), and when a spent budget degrades the answer.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 use wnsk_core::{
     AnswerQuality, KcrOptions, Mutation, QueryBudget, RefinedQuery, WhyNotEngine, WhyNotQuestion,
 };
 use wnsk_geo::{Point, WorldBounds};
 use wnsk_index::{Dataset, ObjectId, SpatialKeywordQuery, SpatialObject};
-use wnsk_shard::{Coordinator, CoordinatorConfig, ShardError, ShardManifest};
+use wnsk_shard::{Coordinator, CoordinatorConfig, ShardManifest};
+use wnsk_storage::{RecoveryReport, PAGE_SIZE};
 use wnsk_text::{Kernel, KeywordSet};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -318,147 +319,108 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn route_log_recovers_a_shard_that_lost_its_wal() {
-    let vocab = 40;
-    let ds = random_dataset(150, vocab, 77);
-    let script = churn_script(&ds, vocab, 40, 77);
+/// The corpus and 2-shard plan every recovery test writes over.
+fn recovery_base() -> (Dataset, ShardManifest) {
+    let ds = random_dataset(150, 40, 77);
     let manifest = ShardManifest::plan(&ds, 2, 42);
-    let dir = temp_dir("crash");
+    (ds, manifest)
+}
 
-    // Session 1: durable coordinator ingests the whole script.
-    {
-        let mut coord =
-            Coordinator::new(ds.clone(), manifest.clone(), CoordinatorConfig::default()).unwrap();
-        let recovery = coord.attach_wal_dir(&dir).unwrap();
-        assert_eq!(recovery.route_records, 0);
-        for m in &script {
-            coord.ingest(m).unwrap();
-        }
-        assert_eq!(coord.epoch(), script.len() as u64);
-    }
-
-    // Crash: shard 1 loses its WAL entirely.
-    std::fs::remove_file(dir.join("shard-1.wal")).unwrap();
-
-    // Session 2: recovery re-drives shard 1 from the route log.
+/// Recovers a fresh coordinator from `dir` and checks it against a
+/// single engine fed `applied`: same epoch, bit-identical top-k and
+/// why-not answers.
+fn assert_recovers_to(dir: &Path, applied: &[Mutation]) -> RecoveryReport {
+    let (ds, manifest) = recovery_base();
     let mut coord = Coordinator::new(
         ds.clone(),
-        manifest.clone(),
+        manifest,
         CoordinatorConfig {
             threads: 2,
             ..CoordinatorConfig::default()
         },
     )
     .unwrap();
-    let recovery = coord.attach_wal_dir(&dir).unwrap();
-    assert_eq!(recovery.route_records, script.len() as u64);
-    assert!(
-        recovery.redone > 0,
-        "losing a shard WAL must force route-log redo"
-    );
-    assert_eq!(coord.epoch(), script.len() as u64);
-
-    // The recovered coordinator answers bit-identically to a single
-    // engine fed the same stream.
-    let mut engine = WhyNotEngine::build_in_memory(ds.clone()).unwrap();
-    for m in &script {
+    let report = coord.attach_wal_dir(dir).unwrap();
+    assert_eq!(report.records_replayed, applied.len() as u64);
+    let mut engine = WhyNotEngine::build_in_memory(ds).unwrap();
+    for m in applied {
         engine.ingest(m).unwrap();
     }
+    assert_eq!(coord.epoch(), engine.epoch(), "recovered epoch");
     for qseed in 0..4u64 {
-        let q = random_query(vocab, 600 + qseed);
+        let q = random_query(40, 600 + qseed);
         assert_ranklist_identical(
             &engine.top_k(&q).unwrap(),
             &coord.top_k(&q).unwrap(),
             &format!("recovered topk qseed={qseed}"),
         );
     }
-    if let Some(question) = make_question(coord.dataset(), vocab, 601) {
-        let base = engine.answer(&question).unwrap();
-        let merged = coord.answer_kcr(&question, KcrOptions::default()).unwrap();
-        assert_refined_identical(&base.refined, &merged.refined, "recovered whynot");
-    }
+    let question = make_question(coord.dataset(), 40, 601).expect("a recovered question");
+    let base = engine.answer(&question).unwrap();
+    let merged = coord.answer_kcr(&question, KcrOptions::default()).unwrap();
+    assert_refined_identical(&base.refined, &merged.refined, "recovered whynot");
+    report
+}
 
-    // And the statuses expose per-shard WAL positions again.
-    let statuses = coord.shard_statuses();
-    assert_eq!(statuses.len(), 2);
-    for st in &statuses {
-        assert!(
-            st.wal_lsn > 0 || st.epoch == 0,
-            "shard {} lost its WAL",
-            st.shard
-        );
+/// Runs `script` through a durable coordinator under `dir`, then drops it.
+fn ingest_durably(dir: &Path, script: &[Mutation]) {
+    let (ds, manifest) = recovery_base();
+    let mut coord = Coordinator::new(ds, manifest, CoordinatorConfig::default()).unwrap();
+    let report = coord.attach_wal_dir(dir).unwrap();
+    assert_eq!(report.records_replayed, 0);
+    for m in script {
+        coord.ingest(m).unwrap();
     }
+    assert_eq!(coord.epoch(), script.len() as u64);
+}
+
+#[test]
+fn route_log_recovers_the_whole_stream() {
+    let (ds, _) = recovery_base();
+    let script = churn_script(&ds, 40, 40, 77);
+    let dir = temp_dir("recover");
+    ingest_durably(&dir, &script);
+    let report = assert_recovers_to(&dir, &script);
+    assert_eq!(report.bytes_truncated, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn admission_cap_zero_sheds_mutations_but_never_queries() {
-    let vocab = 40;
-    let ds = random_dataset(120, vocab, 5);
-    let manifest = ShardManifest::plan(&ds, 2, 42);
-    let mut coord = Coordinator::new(
-        ds.clone(),
-        manifest,
-        CoordinatorConfig {
-            admission_cap: Some(0),
-            ..CoordinatorConfig::default()
-        },
-    )
-    .unwrap();
-    let m = Mutation::Insert {
-        loc: Point::new(0.5, 0.5),
-        doc: KeywordSet::from_ids([1u32, 2]),
-    };
-    match coord.ingest(&m) {
-        Err(ShardError::Shed { .. }) => {}
-        other => panic!("expected shed, got {other:?}"),
-    }
-    assert_eq!(coord.epoch(), 0, "a shed mutation must not apply");
-    let shed_total: u64 = coord.shard_statuses().iter().map(|s| s.shed).sum();
-    assert_eq!(shed_total, 1);
-    // Queries still flow.
-    let q = random_query(vocab, 9);
-    let engine = WhyNotEngine::build_in_memory(ds).unwrap();
-    assert_ranklist_identical(
-        &engine.top_k(&q).unwrap(),
-        &coord.top_k(&q).unwrap(),
-        "shed-mode topk",
-    );
+fn torn_final_route_record_recovers_the_committed_prefix() {
+    let (ds, _) = recovery_base();
+    let script = churn_script(&ds, 40, 40, 77);
+    let dir = temp_dir("torn");
+    ingest_durably(&dir, &script);
+    // Every commit starts a fresh page, so the last page holds only the
+    // final record: lose its second half, as a power cut mid-write does.
+    let path = dir.join("route.wal");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let last = bytes.len() - PAGE_SIZE;
+    bytes[last + PAGE_SIZE / 2..].fill(0);
+    std::fs::write(&path, bytes).unwrap();
+    let report = assert_recovers_to(&dir, &script[..script.len() - 1]);
+    assert!(report.bytes_truncated > 0, "{report:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `tests/fixtures/parent-wal` was written by the coordinator of commit
+/// c6f1452, which kept a `shard-<i>.wal` per shard beside `route.wal`:
+/// `recovery_base()` ingesting `churn_script(&ds, 40, 8, 9)` (inserts,
+/// removes and updates on both shards). The route log alone restores it.
 #[test]
-fn replicas_serve_reads_and_stay_in_sync() {
-    let vocab = 40;
-    let ds = random_dataset(150, vocab, 11);
-    let script = churn_script(&ds, vocab, 30, 11);
-    let manifest = ShardManifest::plan(&ds, 2, 42);
-    let mut coord = Coordinator::new(
-        ds.clone(),
-        manifest,
-        CoordinatorConfig {
-            replicas: 2,
-            ..CoordinatorConfig::default()
-        },
-    )
-    .unwrap();
-    let mut engine = WhyNotEngine::build_in_memory(ds.clone()).unwrap();
-    for m in &script {
-        coord.ingest(m).unwrap();
-        engine.ingest(m).unwrap();
+fn route_log_alone_recovers_a_directory_with_per_shard_wals() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent-wal");
+    let dir = temp_dir("parent-wal");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+        names.push(entry.file_name().into_string().unwrap());
     }
-    // Enough queries that round-robin provably hits the replicas.
-    for qseed in 0..6u64 {
-        let q = random_query(vocab, 300 + qseed);
-        assert_ranklist_identical(
-            &engine.top_k(&q).unwrap(),
-            &coord.top_k(&q).unwrap(),
-            &format!("replica topk qseed={qseed}"),
-        );
-    }
-    let hits = coord
-        .registry()
-        .counter(wnsk_obs::names::SHARD_REPLICA_HITS)
-        .get();
-    assert!(hits > 0, "round-robin reads never touched a replica");
+    names.sort();
+    assert_eq!(names, ["route.wal", "shard-0.wal", "shard-1.wal"]);
+    let (ds, _) = recovery_base();
+    assert_recovers_to(&dir, &churn_script(&ds, 40, 8, 9));
+    let _ = std::fs::remove_dir_all(&dir);
 }
